@@ -118,7 +118,6 @@ from .rules import (
 )
 from .serve import (
     ClusterPartialResultError,
-    ClusterSpec,
     LocalShardCluster,
     MatchClient,
     MatchServer,
@@ -235,6 +234,5 @@ __all__ = [
     # cluster scatter-gather (network-sharded rulesets)
     "RemoteShardedMatcher",
     "LocalShardCluster",
-    "ClusterSpec",
     "ClusterPartialResultError",
 ]

@@ -48,6 +48,7 @@ reported on stderr).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from typing import Optional, Sequence
 
@@ -60,14 +61,69 @@ from .engine.backends import (
     available_backends,
     engine_choices,
 )
-from .engine.parallel import ShardedMatcher
 from .hardware.cost import area_of_mapping
 from .matching import RulesetMatcher
 from .mnrl.serialize import dumps, save
+from .serve.cluster import ClusterPartialResultError
+from .serve.worker import MatcherSpec
+from .session import MultiStreamScanner, match_dict
 from .workloads.stats import census
 from .workloads.synth import suite_by_name
 
 __all__ = ["main", "build_parser"]
+
+
+def _add_compile_options(
+    parser, *, cache_help: str, engine_help: Optional[str] = None,
+    shards: bool = False,
+) -> None:
+    """Declare the compile options once for every subcommand that
+    builds a ruleset (``--engine``/``--shards`` only where the command
+    also executes one); :func:`_compile_options` reads them back."""
+    parser.add_argument(
+        "--threshold",
+        type=float,
+        default=0,
+        help="unfold occurrences with upper bound <= threshold "
+        "(inf = unfold everything)",
+    )
+    parser.add_argument(
+        "-O",
+        "--opt-level",
+        type=int,
+        default=0,
+        help="optimisation passes: 0 = none (stat-exact), "
+        "1+ = dead-node elimination + cross-rule prefix sharing "
+        "(report-set equivalence)",
+    )
+    parser.add_argument("--cache-dir", help=cache_help)
+    if engine_help is not None:
+        parser.add_argument(
+            "--engine",
+            choices=engine_choices(),
+            default=AUTO_ENGINE,
+            help=engine_help,
+        )
+    if shards:
+        parser.add_argument(
+            "--shards",
+            type=int,
+            default=1,
+            help="round-robin the rule set over N independent shards",
+        )
+
+
+def _compile_options(args) -> dict:
+    """The parsed :func:`_add_compile_options` flags as the keyword
+    options every matcher/spec constructor takes."""
+    options = dict(
+        unfold_threshold=args.threshold,
+        opt_level=args.opt_level,
+        cache_dir=args.cache_dir,
+    )
+    if hasattr(args, "engine"):
+        options["engine"] = args.engine
+    return options
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -97,25 +153,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--rules", help="compile a whole rule file (id\\tpattern lines)"
     )
     p_compile.add_argument("-o", "--output", help="write MNRL JSON here")
-    p_compile.add_argument(
-        "--threshold",
-        type=float,
-        default=0,
-        help="unfold occurrences with upper bound <= threshold "
-        "(inf = unfold everything)",
-    )
-    p_compile.add_argument(
-        "-O",
-        "--opt-level",
-        type=int,
-        default=0,
-        help="optimisation passes: 0 = none (stat-exact), "
-        "1+ = dead-node elimination + cross-rule prefix sharing "
-        "(report-set equivalence)",
-    )
-    p_compile.add_argument(
-        "--cache-dir",
-        help="persist the compiled ruleset here (warm starts skip "
+    _add_compile_options(
+        p_compile,
+        cache_help="persist the compiled ruleset here (warm starts skip "
         "parsing/analysis/emission); requires --rules",
     )
 
@@ -134,39 +174,21 @@ def build_parser() -> argparse.ArgumentParser:
         "Snort-style .rules ingested through the repro.rules frontend "
         "(rejected rules reported on stderr)",
     )
-    p_scan.add_argument("--threshold", type=float, default=0)
     p_scan.add_argument(
         "--chunk-size",
         type=int,
         default=1 << 16,
         help="streaming read size in bytes (default 64 KiB)",
     )
-    p_scan.add_argument(
-        "--engine",
-        choices=engine_choices(),
-        default=AUTO_ENGINE,
-        help="execution backend (from the backend registry): auto = "
+    _add_compile_options(
+        p_scan,
+        cache_help="warm-start from (and populate) the persistent ruleset cache",
+        engine_help="execution backend (from the backend registry): auto = "
         "fastest available backend for the compiled ruleset; "
-        "stream/table = scalar interpreter; block = NumPy vectorized "
+        "stream = scalar interpreter; block = NumPy vectorized "
         "block scanner (if numpy is installed); reference = "
         "node-by-node simulator",
-    )
-    p_scan.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="round-robin the rule set over N independent shards",
-    )
-    p_scan.add_argument(
-        "-O",
-        "--opt-level",
-        type=int,
-        default=0,
-        help="optimisation passes (see 'compile --opt-level')",
-    )
-    p_scan.add_argument(
-        "--cache-dir",
-        help="warm-start from (and populate) the persistent ruleset cache",
+        shards=True,
     )
     p_scan.add_argument(
         "--streams",
@@ -198,24 +220,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="TCP port (0 picks an ephemeral port, printed on the "
         "ready line)",
     )
-    p_serve.add_argument(
-        "--engine",
-        choices=engine_choices(),
-        default=AUTO_ENGINE,
-        help="execution backend for every served session",
-    )
-    p_serve.add_argument("--threshold", type=float, default=0)
-    p_serve.add_argument(
-        "-O", "--opt-level", type=int, default=0,
-        help="optimisation passes (see 'compile --opt-level')",
-    )
-    p_serve.add_argument(
-        "--cache-dir",
-        help="warm-start from (and populate) the persistent ruleset cache",
-    )
-    p_serve.add_argument(
-        "--shards", type=int, default=1,
-        help="round-robin the rule set over N independent shards",
+    _add_compile_options(
+        p_serve,
+        cache_help="warm-start from (and populate) the persistent ruleset cache",
+        engine_help="execution backend for every served session",
+        shards=True,
     )
     p_serve.add_argument(
         "--queue-depth", type=int, default=32,
@@ -304,20 +313,10 @@ def build_parser() -> argparse.ArgumentParser:
         "format as 'scan --streams'); omit in spawn mode to keep the "
         "shards serving until SIGINT/SIGTERM",
     )
-    p_cluster.add_argument(
-        "--engine",
-        choices=engine_choices(),
-        default=AUTO_ENGINE,
-        help="execution backend for every spawned shard server",
-    )
-    p_cluster.add_argument("--threshold", type=float, default=0)
-    p_cluster.add_argument(
-        "-O", "--opt-level", type=int, default=0,
-        help="optimisation passes (see 'compile --opt-level')",
-    )
-    p_cluster.add_argument(
-        "--cache-dir",
-        help="warm-start spawned shards from the persistent ruleset cache",
+    _add_compile_options(
+        p_cluster,
+        cache_help="warm-start spawned shards from the persistent ruleset cache",
+        engine_help="execution backend for every spawned shard server",
     )
     p_cluster.add_argument(
         "--retries", type=int, default=5,
@@ -353,15 +352,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="also compile the accepted rules and fold compile-level "
         "skips into the triage",
     )
-    p_rules.add_argument(
-        "--cache-dir",
-        help="compile through the persistent ruleset cache "
+    _add_compile_options(
+        p_rules,
+        cache_help="compile through the persistent ruleset cache "
         "(implies --compile)",
-    )
-    p_rules.add_argument("--threshold", type=float, default=0)
-    p_rules.add_argument(
-        "-O", "--opt-level", type=int, default=0,
-        help="optimisation passes (see 'compile --opt-level')",
     )
     p_rules.add_argument(
         "--rejected",
@@ -443,12 +437,7 @@ def _cmd_compile(args) -> int:
 
 def _compile_rules(args) -> int:
     """``compile --rules``: build (and optionally cache) a ruleset."""
-    matcher = RulesetMatcher(
-        _read_rules(args.rules),
-        unfold_threshold=args.threshold,
-        opt_level=args.opt_level,
-        cache_dir=args.cache_dir,
-    )
+    matcher = RulesetMatcher(_read_rules(args.rules), **_compile_options(args))
     info = matcher.compile_info
     resources = matcher.resources()
     tables = matcher.tables
@@ -507,6 +496,17 @@ def _read_rules(path: str, fmt: str = "native") -> list[tuple]:
     return rules
 
 
+@contextlib.contextmanager
+def _open_input(path: str):
+    """The binary input handle for ``--input`` (``-`` = stdin, which
+    is left open)."""
+    if path == "-":
+        yield sys.stdin.buffer
+    else:
+        with open(path, "rb") as handle:
+            yield handle
+
+
 def _chunks(handle, size: int):
     while True:
         chunk = handle.read(size)
@@ -516,27 +516,9 @@ def _chunks(handle, size: int):
 
 
 def _cmd_scan(args) -> int:
-    rules = _read_rules(args.rules, fmt=getattr(args, "format", "native"))
-    options = dict(
-        unfold_threshold=args.threshold,
-        engine=args.engine,
-        opt_level=args.opt_level,
-        cache_dir=args.cache_dir,
-    )
-    try:
-        if args.shards > 1:
-            matcher = ShardedMatcher(rules, shards=args.shards, **options)
-            infos = matcher.compile_infos
-        else:
-            matcher = RulesetMatcher(rules, **options)
-            infos = [matcher.compile_info]
-    except BackendUnavailable as exc:
-        # e.g. --engine block without numpy: a clean message, not a
-        # traceback (argparse offers every registered name regardless
-        # of availability)
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    matcher = _build_matcher(args)
     if args.verbose:
+        infos = getattr(matcher, "compile_infos", [matcher.compile_info])
         for index, info in enumerate(infos):
             shard = f"shard {index}: " if len(infos) > 1 else ""
             source = "cache hit (warm start)" if info.cache_hit else "fresh compile"
@@ -547,6 +529,9 @@ def _cmd_scan(args) -> int:
             )
         for rule_id, reason in matcher.skipped:
             print(f"skipped {rule_id}: {reason}", file=sys.stderr)
+        for info in available_backends():
+            status = "available" if info.available else f"unavailable ({info.unavailable_reason})"
+            print(f"backend {info.name}: {status}", file=sys.stderr)
     elif matcher.skipped:
         print(
             f"skipped {len(matcher.skipped)} rule(s); "
@@ -554,22 +539,15 @@ def _cmd_scan(args) -> int:
             file=sys.stderr,
         )
 
-    if args.verbose:
-        for info in available_backends():
-            status = "available" if info.available else f"unavailable ({info.unavailable_reason})"
-            print(f"backend {info.name}: {status}", file=sys.stderr)
-
-    handle = sys.stdin.buffer if args.input == "-" else open(args.input, "rb")
-    try:
-        if args.streams:
-            return _scan_multi_stream(matcher, handle, args)
+    resources = matcher.resources()
+    if args.streams:
+        return _scan_multi_stream(
+            matcher, args, "served", f" with {resources.rules_compiled} rules"
+        )
+    with _open_input(args.input) as handle:
         # every registered backend streams, so one entry point serves
         # all --engine choices (including reference and auto)
         result = matcher.scan_stream(_chunks(handle, max(1, args.chunk_size)))
-    finally:
-        if handle is not sys.stdin.buffer:
-            handle.close()
-    resources = matcher.resources()
     print(
         f"scanned {result.bytes_scanned} bytes with "
         f"{resources.rules_compiled} rules "
@@ -583,11 +561,7 @@ def _cmd_scan(args) -> int:
             f"classes, {resources.merged_stes} STEs merged, "
             f"{resources.removed_nodes} dead nodes removed"
         )
-    for rule_id in sorted(result.matches):
-        ends = result.matches[rule_id]
-        shown = ", ".join(map(str, ends[:8]))
-        suffix = ", ..." if len(ends) > 8 else ""
-        print(f"  {rule_id}: {len(ends)} match(es) at [{shown}{suffix}]")
+    _print_rule_matches(result.matches)
     if not result.matches:
         print("  no matches")
     return 0
@@ -616,60 +590,77 @@ def _tagged_chunks(handle):
         yield number, tag.decode("latin-1"), payload
 
 
-def _scan_multi_stream(matcher, handle, args) -> int:
-    """``scan --streams``: demultiplex tagged lines into per-stream
-    sessions over the one compiled ruleset and report per stream."""
-    from .session import MultiStreamScanner
+def _print_rule_matches(matches: dict[str, list[int]]) -> None:
+    for rule_id in sorted(matches):
+        ends = matches[rule_id]
+        shown = ", ".join(map(str, ends[:8]))
+        suffix = ", ..." if len(ends) > 8 else ""
+        print(f"  {rule_id}: {len(ends)} match(es) at [{shown}{suffix}]")
 
-    mux = MultiStreamScanner(matcher, engine=None)
+
+def _print_stream_results(
+    verb: str,
+    streams: dict[str, tuple[int, int, dict[str, list[int]]]],
+    suffix: str = "",
+) -> None:
+    """The per-stream report of ``scan --streams``, ``cluster`` and
+    ``connect``: ``streams`` maps each tag to ``(bytes, match count,
+    {rule: sorted end offsets})``."""
+    print(
+        f"{verb} {len(streams)} stream(s), "
+        f"{sum(nbytes for nbytes, _, _ in streams.values())} bytes, "
+        f"{sum(count for _, count, _ in streams.values())} match(es){suffix}"
+    )
+    for tag in sorted(streams):
+        nbytes, count, by_rule = streams[tag]
+        print(f"stream {tag}: {nbytes} bytes, {count} match(es)")
+        _print_rule_matches(by_rule)
+    if not streams:
+        print("  no streams")
+
+
+def _scan_multi_stream(matcher, args, verb: str, suffix: str) -> int:
+    """``scan --streams`` and ``cluster --input``: demultiplex tagged
+    lines into per-stream sessions over the one matcher (a compiled
+    ruleset, or remote shards) and report per stream."""
     try:
-        for _, tag, payload in _tagged_chunks(handle):
-            mux.feed(tag, payload)
+        with _open_input(args.input) as handle:
+            results = MultiStreamScanner(matcher).scan_tagged(
+                (tag, payload) for _, tag, payload in _tagged_chunks(handle)
+            )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    mux.finish_all()
-    results = mux.results()
-    resources = matcher.resources()
-    total_bytes = sum(result.bytes_scanned for result in results.values())
-    total_matches = sum(result.total_matches() for result in results.values())
-    print(
-        f"served {len(results)} stream(s), {total_bytes} bytes, "
-        f"{total_matches} match(es) with {resources.rules_compiled} rules"
+    except ClusterPartialResultError as exc:
+        # partial-result contract: name the casualty, keep what
+        # was already delivered visible, exit distinctly
+        print(f"error: {exc}", file=sys.stderr)
+        for stream in sorted(exc.delivered):
+            for match in exc.delivered[stream]:
+                print(
+                    f"  delivered {stream}: {match.rule} @ {match.end}",
+                    file=sys.stderr,
+                )
+        return 3
+    _print_stream_results(
+        verb,
+        {
+            tag: (result.bytes_scanned, result.total_matches(), result.matches)
+            for tag, result in results.items()
+        },
+        suffix,
     )
-    for tag in sorted(results):
-        result = results[tag]
-        print(
-            f"stream {tag}: {result.bytes_scanned} bytes, "
-            f"{result.total_matches()} match(es)"
-        )
-        for rule_id in sorted(result.matches):
-            ends = result.matches[rule_id]
-            shown = ", ".join(map(str, ends[:8]))
-            suffix = ", ..." if len(ends) > 8 else ""
-            print(f"  {rule_id}: {len(ends)} match(es) at [{shown}{suffix}]")
-    if not results:
-        print("  no streams")
+    if getattr(args, "stats", False):
+        print(f"cluster stats: {matcher.stats().as_dict()}")
     return 0
 
 
 def _build_matcher(args):
-    """Compile the rule file with the scan/serve option set; returns
-    ``None`` (after printing) when the backend is unavailable."""
-    rules = _read_rules(args.rules)
-    options = dict(
-        unfold_threshold=args.threshold,
-        engine=args.engine,
-        opt_level=args.opt_level,
-        cache_dir=args.cache_dir,
-    )
-    try:
-        if args.shards > 1:
-            return ShardedMatcher(rules, shards=args.shards, **options)
-        return RulesetMatcher(rules, **options)
-    except BackendUnavailable as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None
+    """Compile the rule file with the scan/serve option set."""
+    rules = _read_rules(args.rules, fmt=getattr(args, "format", "native"))
+    return MatcherSpec(
+        tuple(rules), shards=args.shards, **_compile_options(args)
+    ).build()
 
 
 def _serve_summary(stats) -> None:
@@ -696,18 +687,13 @@ def _cmd_serve(args) -> int:
     from .serve.control import ControlServer
 
     matcher = _build_matcher(args)
-    if matcher is None:
-        return 2
     if matcher.skipped:
         print(f"skipped {len(matcher.skipped)} rule(s)", file=sys.stderr)
     resources = matcher.resources()
 
     def rebuild():
         """Reload path: recompile the (possibly edited) rule file."""
-        fresh = _build_matcher(args)
-        if fresh is None:
-            raise RuntimeError(f"cannot rebuild ruleset from {args.rules}")
-        return fresh
+        return _build_matcher(args)
 
     async def run() -> int:
         server = MatchServer(
@@ -817,13 +803,10 @@ def _serve_fleet(args) -> int:
         workers=args.workers,
         host=args.host,
         port=args.port,
-        engine=args.engine,
-        unfold_threshold=args.threshold,
-        opt_level=args.opt_level,
-        cache_dir=args.cache_dir,
-        shards=args.shards,
         queue_depth=args.queue_depth,
         threads=args.threads,
+        shards=args.shards,
+        **_compile_options(args),
     )
     try:
         fleet.start()
@@ -833,11 +816,10 @@ def _serve_fleet(args) -> int:
             file=sys.stderr,
         )
         return 2
-    warm = sum(1 for worker in fleet._workers if worker.cache_hit)
     print(
         f"serving {len(rules)} rules on {fleet.host}:{fleet.port} "
         f"(engine {args.engine}, workers {args.workers}, "
-        f"{warm} warm-started, generation {fleet.generation})",
+        f"{sum(fleet.cache_hits)} warm-started, generation {fleet.generation})",
         flush=True,
     )
 
@@ -882,43 +864,27 @@ def _cmd_connect(args) -> int:
     """``connect``: stream a tagged-chunk file at a running server and
     report per-stream matches (the serve smoke-test client)."""
     import json
-    import socket
-    import time
 
-    from .serve.client import backoff_delays, scan_tagged_remote
+    from .serve.client import scan_tagged_remote
 
-    handle = sys.stdin.buffer if args.input == "-" else open(args.input, "rb")
     try:
-        try:
+        with _open_input(args.input) as handle:
             pairs = [
                 (tag, payload) for _, tag, payload in _tagged_chunks(handle)
             ]
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    finally:
-        if handle is not sys.stdin.buffer:
-            handle.close()
-
-    last_error: Optional[Exception] = None
-    delays = backoff_delays(max(0, args.retries))
-    for attempt in range(max(1, args.retries + 1)):
-        if attempt:
-            time.sleep(next(delays, 0.0))
-        try:
-            matches, summaries, stats = scan_tagged_remote(
-                args.host, args.port, pairs
-            )
-            break
-        except (ConnectionError, socket.error) as exc:
-            last_error = exc
-    else:
-        print(f"error: cannot connect to {args.host}:{args.port}: "
-              f"{last_error}", file=sys.stderr)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    total_bytes = sum(s.bytes_scanned for s in summaries.values())
-    total_matches = sum(s.matches_emitted for s in summaries.values())
+    try:
+        matches, summaries, stats = scan_tagged_remote(
+            args.host, args.port, pairs, retries=max(0, args.retries)
+        )
+    except OSError as exc:
+        print(f"error: cannot connect to {args.host}:{args.port}: {exc}",
+              file=sys.stderr)
+        return 2
+
     if args.json:
         document = {
             "host": args.host,
@@ -941,90 +907,26 @@ def _cmd_connect(args) -> int:
             },
             "totals": {
                 "streams": len(summaries),
-                "bytes": total_bytes,
-                "matches": total_matches,
+                "bytes": sum(s.bytes_scanned for s in summaries.values()),
+                "matches": sum(s.matches_emitted for s in summaries.values()),
             },
             "stats": stats,
         }
         print(json.dumps(document, sort_keys=True))
         return 0
-    print(
-        f"served {len(summaries)} stream(s), {total_bytes} bytes, "
-        f"{total_matches} match(es)"
+    _print_stream_results(
+        "served",
+        {
+            tag: (
+                summary.bytes_scanned,
+                summary.matches_emitted,
+                match_dict(matches.get(tag, [])),
+            )
+            for tag, summary in summaries.items()
+        },
     )
-    for tag in sorted(summaries):
-        summary = summaries[tag]
-        print(
-            f"stream {tag}: {summary.bytes_scanned} bytes, "
-            f"{summary.matches_emitted} match(es)"
-        )
-        by_rule: dict[str, list[int]] = {}
-        for match in matches.get(tag, []):
-            by_rule.setdefault(match.rule, []).append(match.end)
-        for rule_id in sorted(by_rule):
-            ends = sorted(by_rule[rule_id])
-            shown = ", ".join(map(str, ends[:8]))
-            suffix = ", ..." if len(ends) > 8 else ""
-            print(f"  {rule_id}: {len(ends)} match(es) at [{shown}{suffix}]")
-    if not summaries:
-        print("  no streams")
     if args.stats:
         print(f"server stats: {stats}")
-    return 0
-
-
-def _cluster_scan(matcher, args) -> int:
-    """One-shot cluster scan: demultiplex tagged lines through the
-    remote shards and report per stream (merged across shards)."""
-    from .serve.cluster import ClusterPartialResultError
-    from .session import MultiStreamScanner
-
-    handle = sys.stdin.buffer if args.input == "-" else open(args.input, "rb")
-    mux = MultiStreamScanner(matcher, engine=None)
-    try:
-        try:
-            for _, tag, payload in _tagged_chunks(handle):
-                mux.feed(tag, payload)
-            mux.finish_all()
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        except ClusterPartialResultError as exc:
-            # partial-result contract: name the casualty, keep what
-            # was already delivered visible, exit distinctly
-            print(f"error: {exc}", file=sys.stderr)
-            for stream in sorted(exc.delivered):
-                for match in exc.delivered[stream]:
-                    print(
-                        f"  delivered {stream}: {match.rule} @ {match.end}",
-                        file=sys.stderr,
-                    )
-            return 3
-    finally:
-        if handle is not sys.stdin.buffer:
-            handle.close()
-    results = mux.results()
-    total_bytes = sum(result.bytes_scanned for result in results.values())
-    total_matches = sum(result.total_matches() for result in results.values())
-    print(
-        f"scanned {len(results)} stream(s), {total_bytes} bytes, "
-        f"{total_matches} match(es) across {matcher.shard_count} shard(s)"
-    )
-    for tag in sorted(results):
-        result = results[tag]
-        print(
-            f"stream {tag}: {result.bytes_scanned} bytes, "
-            f"{result.total_matches()} match(es)"
-        )
-        for rule_id in sorted(result.matches):
-            ends = result.matches[rule_id]
-            shown = ", ".join(map(str, ends[:8]))
-            suffix = ", ..." if len(ends) > 8 else ""
-            print(f"  {rule_id}: {len(ends)} match(es) at [{shown}{suffix}]")
-    if not results:
-        print("  no streams")
-    if args.stats:
-        print(f"cluster stats: {matcher.stats().as_dict()}")
     return 0
 
 
@@ -1034,7 +936,13 @@ def _cmd_cluster(args) -> int:
     import signal
     import threading
 
-    from .serve.cluster import ClusterSpec, RemoteShardedMatcher, parse_endpoint
+    from .serve.cluster import LocalShardCluster, RemoteShardedMatcher
+
+    def scan_with(matcher) -> int:
+        return _scan_multi_stream(
+            matcher, args, "scanned",
+            f" across {matcher.shard_count} shard(s)",
+        )
 
     if bool(args.rules) == bool(args.attach):
         print(
@@ -1047,25 +955,15 @@ def _cmd_cluster(args) -> int:
         if args.input is None:
             print("error: --attach requires --input", file=sys.stderr)
             return 2
+        endpoints = [part for part in args.attach.split(",") if part.strip()]
         try:
-            endpoints = [
-                parse_endpoint(part)
-                for part in args.attach.split(",")
-                if part.strip()
-            ]
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        if not endpoints:
-            print("error: --attach lists no endpoints", file=sys.stderr)
-            return 2
-        try:
-            matcher = ClusterSpec.attach(endpoints).connect(retries=args.retries)
-        except ConnectionError as exc:
+            # a bad or empty endpoint list is a ValueError from the matcher
+            matcher = RemoteShardedMatcher(endpoints, retries=args.retries)
+        except (ValueError, ConnectionError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         with matcher:
-            return _cluster_scan(matcher, args)
+            return scan_with(matcher)
 
     # spawn mode: one rule file, round-robin over --shards local servers
     rules = _read_rules(args.rules)
@@ -1076,25 +974,16 @@ def _cmd_cluster(args) -> int:
     except ValueError:
         print(f"error: bad --ports list {args.ports!r}", file=sys.stderr)
         return 2
-    if ports and len(ports) != args.shards:
-        print(
-            f"error: --ports lists {len(ports)} port(s) for "
-            f"{args.shards} shard(s)",
-            file=sys.stderr,
-        )
-        return 2
-    spec = ClusterSpec.spawn(
-        rules,
-        shards=args.shards,
-        host=args.host,
-        ports=ports,
-        engine=args.engine,
-        unfold_threshold=args.threshold,
-        opt_level=args.opt_level,
-        cache_dir=args.cache_dir,
-    )
     try:
-        cluster = spec.start(processes=not args.in_process)
+        cluster = LocalShardCluster(
+            rules,
+            shards=args.shards,
+            host=args.host,
+            ports=ports,
+            processes=not args.in_process,
+            **_compile_options(args),
+        )
+        cluster.start()
     except (OSError, RuntimeError, ValueError) as exc:
         print(f"error: cannot start shard servers: {exc}", file=sys.stderr)
         return 2
@@ -1112,7 +1001,7 @@ def _cmd_cluster(args) -> int:
             with RemoteShardedMatcher(
                 cluster.addresses, retries=args.retries
             ) as matcher:
-                code = _cluster_scan(matcher, args)
+                code = scan_with(matcher)
         else:
             stop = threading.Event()
             signal.signal(signal.SIGINT, lambda *_: stop.set())
@@ -1138,11 +1027,7 @@ def _cmd_rules(args) -> int:
     report = loaded.report
     compile_block = None
     if args.compile or args.cache_dir:
-        matcher, report = loaded.compile(
-            cache_dir=args.cache_dir,
-            unfold_threshold=args.threshold,
-            opt_level=args.opt_level,
-        )
+        matcher, report = loaded.compile(**_compile_options(args))
         info = matcher.compile_info
         resources = matcher.resources()
         compile_block = {
@@ -1238,7 +1123,14 @@ _COMMANDS = {
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except BackendUnavailable as exc:
+        # e.g. --engine block without numpy: a clean message, not a
+        # traceback (argparse offers every registered name regardless
+        # of availability)
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

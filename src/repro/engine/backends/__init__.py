@@ -6,7 +6,7 @@ expression of that idea -- one :class:`~repro.engine.backends.base.Backend`
 protocol, a process-wide registry, and three built-in strategies:
 
 ======================  =====================================================
-``"stream"`` (alias ``"table"``)  scalar bitmask interpreter; stdlib-only,
+``"stream"``            scalar bitmask interpreter; stdlib-only,
                         always available, exact stats
 ``"block"``             NumPy vectorized block sweeps; optional dependency,
                         fastest on module-free (STE-only) rulesets,

@@ -120,7 +120,7 @@ def resolve_backend(
     ``ValueError``) with the reason otherwise.
 
     >>> from repro import resolve_backend
-    >>> resolve_backend("table").name     # aliases resolve
+    >>> resolve_backend("stream").name
     'stream'
     """
     if name == AUTO_ENGINE:

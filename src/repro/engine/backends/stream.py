@@ -3,8 +3,7 @@
 Wraps :class:`~repro.engine.scanner.StreamScanner` -- the always-on
 baseline every deployment can rely on: pure standard library, exact
 ``ActivityStats``, streaming, applicable to every network the compiler
-can emit.  Registered under its historical alias ``"table"`` too, so
-pre-registry callers (``engine="table"``) keep working.
+can emit.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ __all__ = ["StreamBackend"]
 
 class StreamBackend(Backend):
     name = "stream"
-    aliases = ("table",)
     description = (
         "scalar bitmask interpreter over precompiled transition tables "
         "(stdlib-only baseline)"

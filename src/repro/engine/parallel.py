@@ -46,7 +46,7 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence, TYPE_CHECKING
 
 from ..hardware.simulator import ActivityStats
-from ..session import MatchSession, MatchSink, SessionPart
+from ..session import MatchSession, MatchSink, SessionPart, SessionScans
 from .backends import AUTO_ENGINE, resolve_backend
 from .scanner import Chunk, coerce_chunk
 from .tables import TransitionTables
@@ -59,6 +59,7 @@ __all__ = [
     "scan_streams",
     "merge_scan_results",
     "mp_context",
+    "LocalMatcher",
     "ShardedMatcher",
     "FeedPool",
 ]
@@ -284,6 +285,8 @@ def merge_scan_results(results: "Sequence[ScanResult]") -> "ScanResult":
 
     if not results:
         return ScanResult(bytes_scanned=0, matches={})
+    if len(results) == 1:
+        return results[0]
     lengths = {result.bytes_scanned for result in results}
     if len(lengths) > 1:
         raise ValueError(f"shard results disagree on stream length: {lengths}")
@@ -303,7 +306,88 @@ def merge_scan_results(results: "Sequence[ScanResult]") -> "ScanResult":
     )
 
 
-class ShardedMatcher:
+class LocalMatcher(SessionScans):
+    """Sessions and pooled batches over in-process shard matchers.
+
+    The one body behind both local :class:`~repro.session.Matcher`
+    implementations: a :class:`~repro.matching.RulesetMatcher` is its
+    own single shard, a :class:`ShardedMatcher` has several -- each
+    names them through :attr:`_shard_matchers`, and everything here is
+    written over that list.
+    """
+
+    engine: str
+    #: default worker-process count for :meth:`scan_many` (0/1 = serial)
+    processes: int = 0
+    #: the compiled matchers a session spans, in shard order
+    _shard_matchers: "Sequence[RulesetMatcher]"
+
+    def session(
+        self,
+        engine: Optional[str] = None,
+        *,
+        stream: Optional[str] = None,
+        on_match: Optional[MatchSink] = None,
+    ) -> MatchSession:
+        """Open a :class:`~repro.session.MatchSession` over this ruleset.
+
+        The session holds one fresh scanner per shard from the resolved
+        backend (``engine`` overrides the matcher's default); each
+        ``feed`` runs the chunk through all of them in lockstep and
+        merges the new :class:`~repro.session.Match` events in absolute
+        offset order, so a rule partition is invisible.  ``stream``
+        tags every match and ``on_match`` (any callable, e.g. a
+        :class:`~repro.session.CollectorSink`) observes each exactly
+        once.  All batch entry points are wrappers over this.
+        """
+        engine = engine or self.engine
+        parts = [
+            SessionPart(
+                scanner=shard._scanner(engine),
+                end_anchored=shard._end_anchored,
+                finalize=shard._result_from_reports,
+            )
+            for shard in self._shard_matchers
+        ]
+        return MatchSession(parts, stream=stream, on_match=on_match)
+
+    def scan_many(
+        self,
+        streams: Sequence[Chunk],
+        processes: Optional[int] = None,
+        engine: Optional[str] = None,
+    ) -> list["ScanResult"]:
+        """Scan a batch of independent streams; one merged result each.
+
+        With ``processes > 1`` the (shard, stream) grid fans out over
+        worker processes (the precompiled tables ship to each worker
+        once, and the backend choice ships with them); otherwise each
+        stream runs through an in-process session.  Results are
+        identical either way.
+        """
+        if processes is None:
+            processes = self.processes
+        if processes <= 1:
+            return super().scan_many(streams, engine=engine)
+        shards = self._shard_matchers
+        grid = scan_streams(
+            [shard.tables for shard in shards],
+            streams,
+            processes=processes,
+            engine=engine or self.engine,
+        )
+        return [
+            merge_scan_results(
+                [
+                    shard._result_from_reports(reports, n_bytes, stats)
+                    for shard, (n_bytes, reports, stats) in zip(shards, per_shard)
+                ]
+            )
+            for per_shard in grid
+        ]
+
+
+class ShardedMatcher(LocalMatcher):
     """Round-robin ruleset sharding over independent matchers.
 
     Same surface as :class:`~repro.matching.RulesetMatcher` for the
@@ -346,6 +430,7 @@ class ShardedMatcher:
             RulesetMatcher(bucket, **kwargs)
             for bucket in shard_rules(unique, shards)
         ]
+        self._shard_matchers = self.shards
 
     @property
     def skipped(self) -> list[tuple[str, str]]:
@@ -389,80 +474,3 @@ class ShardedMatcher:
             # total table width across banks is the sum
             alphabet_classes=sum(p.alphabet_classes for p in parts),
         )
-
-    def session(
-        self,
-        engine: Optional[str] = None,
-        *,
-        stream: Optional[str] = None,
-        on_match: Optional[MatchSink] = None,
-    ) -> MatchSession:
-        """Open a :class:`~repro.session.MatchSession` spanning every
-        shard.
-
-        The session holds one fresh sub-scanner per shard; each
-        ``feed`` runs the chunk through all of them in lockstep and
-        merges the newly observed :class:`~repro.session.Match` events
-        in offset order, so incremental emission is indistinguishable
-        from an unsharded matcher's (the rule partition is invisible).
-        """
-        engine = engine or self.engine
-        parts = [
-            SessionPart(
-                scanner=shard._scanner(engine),
-                end_anchored=frozenset(shard._end_anchored),
-                finalize=shard._result_from_reports,
-            )
-            for shard in self.shards
-        ]
-        return MatchSession(parts, stream=stream, on_match=on_match)
-
-    def scan(self, data: Chunk, engine: Optional[str] = None) -> "ScanResult":
-        with self.session(engine=engine) as session:
-            session.feed(data)
-        return session.result()
-
-    def scan_stream(
-        self, chunks: Iterable[Chunk], engine: Optional[str] = None
-    ) -> "ScanResult":
-        """Feed one stream of chunks through every shard in lockstep
-        (the chunk iterable is consumed exactly once)."""
-        with self.session(engine=engine) as session:
-            for chunk in chunks:
-                session.feed(chunk)
-        return session.result()
-
-    def matched_rules(self, data: Chunk) -> set[str]:
-        """Convenience: just the ids of rules that matched."""
-        return self.scan(data).matched_rules()
-
-    def scan_many(
-        self,
-        streams: Sequence[Chunk],
-        processes: Optional[int] = None,
-        engine: Optional[str] = None,
-    ) -> list["ScanResult"]:
-        """Scan a batch of independent streams; one merged result each.
-
-        With ``processes > 1`` the (shard, stream) grid fans out over
-        worker processes; otherwise each stream runs through an
-        in-process per-shard session.  Results are identical.
-        """
-        if processes is None:
-            processes = self.processes
-        if processes <= 1:
-            return [self.scan(stream, engine=engine) for stream in streams]
-        grid = scan_streams(
-            [shard.tables for shard in self.shards],
-            streams,
-            processes=processes,
-            engine=engine or self.engine,
-        )
-        merged: list["ScanResult"] = []
-        for per_shard in grid:
-            results = [
-                shard._result_from_reports(reports, n_bytes, stats)
-                for shard, (n_bytes, reports, stats) in zip(self.shards, per_shard)
-            ]
-            merged.append(merge_scan_results(results))
-        return merged

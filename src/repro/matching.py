@@ -25,7 +25,7 @@ live scan of one logical stream, emitting incremental
             session.feed(chunk)       # -> [Match, ...] new this chunk
     session.result()                  # the classic ScanResult
 
-The batch entry points below (:meth:`RulesetMatcher.scan`,
+The batch entry points (:meth:`RulesetMatcher.scan`,
 :meth:`~RulesetMatcher.scan_stream`, :meth:`~RulesetMatcher.scan_many`,
 :meth:`~RulesetMatcher.matched_rules`) are thin wrappers over sessions
 -- one code path, identical reports/stats/energy either way.
@@ -53,7 +53,6 @@ Reporting semantics (shared by every scan entry point)
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -75,18 +74,13 @@ from .engine.backends import (
     resolve_backend,
     validated_backend_names,
 )
+from .engine.parallel import LocalMatcher
 from .engine.scanner import Chunk, coerce_chunk
 from .engine.tables import TransitionTables, compile_tables
 from .hardware.cost import AreaReport, area_of_mapping, energy_of_run
 from .hardware.simulator import ActivityStats
 from .mnrl.network import Network
-from .session import (
-    Match,
-    MatchSession,
-    MatchSink,
-    SessionPart,
-    UNNAMED_REPORT,
-)
+from .session import Match, MatchSession, SessionPart, UNNAMED_REPORT
 
 __all__ = [
     "RulesetMatcher",
@@ -185,9 +179,7 @@ def merge_compile_infos(infos: Sequence[CompileInfo]) -> CompileInfo:
     the shards agree (a single-matcher merge) -- a sharded compilation
     is backed by many artifacts, reachable per shard via
     :attr:`~repro.engine.parallel.ShardedMatcher.compile_infos`.
-    Callers include :class:`~repro.engine.parallel.ShardedMatcher` and
-    the cluster layer's :class:`~repro.serve.cluster.LocalShardCluster`
-    (one info per shard *server*).  An empty sequence raises -- unlike
+    An empty sequence raises -- unlike
     :func:`~repro.engine.parallel.merge_scan_results` there is no
     neutral ``CompileInfo`` (``cache_hit`` has no identity value).
     """
@@ -202,7 +194,7 @@ def merge_compile_infos(infos: Sequence[CompileInfo]) -> CompileInfo:
     )
 
 
-class RulesetMatcher:
+class RulesetMatcher(LocalMatcher):
     """Compile a rule set to augmented-CAMA form and scan streams.
 
     Execution is delegated to the pluggable backend registry
@@ -215,8 +207,8 @@ class RulesetMatcher:
       applies to the compiled tables (the NumPy ``"block"`` scanner
       for module-free rulesets, the scalar ``"stream"`` interpreter
       otherwise);
-    * ``"stream"`` (alias ``"table"``) -- precompiled transition
-      tables, integer-bitmask per-byte loop;
+    * ``"stream"`` -- precompiled transition tables, integer-bitmask
+      per-byte loop;
     * ``"block"`` -- NumPy bit-parallel block sweeps (needs numpy);
     * ``"reference"`` -- the node-by-node
       :class:`~repro.hardware.simulator.NetworkSimulator`, kept as the
@@ -353,9 +345,9 @@ class RulesetMatcher:
         # final byte of the stream; the hardware reports every prefix
         # end, so the facade filters (real deployments gate the report
         # vector with an end-of-data strobe the same way)
-        self._end_anchored: set[str] = {
+        self._end_anchored: frozenset[str] = frozenset(
             meta.report_id for meta in self._rule_meta if meta.anchored_end
-        }
+        )
         #: cold-vs-warm provenance and timing of this compilation
         self.compile_info = CompileInfo(
             cache_hit=artifact is not None,
@@ -453,110 +445,9 @@ class RulesetMatcher:
         tables = self.tables
         return resolve_backend(engine or self.engine, tables).make_scanner(tables)
 
-    def session(
-        self,
-        engine: Optional[str] = None,
-        *,
-        stream: Optional[str] = None,
-        on_match: Optional[MatchSink] = None,
-    ) -> MatchSession:
-        """Open a :class:`~repro.session.MatchSession` over this ruleset.
-
-        The session wraps one fresh scanner from the resolved backend
-        (``engine`` overrides the matcher's default) and emits
-        incremental :class:`~repro.session.Match` events with absolute
-        stream offsets; ``stream`` tags every emitted match and
-        ``on_match`` (any callable, e.g. a
-        :class:`~repro.session.CollectorSink` or
-        :class:`~repro.session.QueueSink`) observes each match exactly
-        once.  All batch entry points are wrappers over this.
-        """
-        part = SessionPart(
-            scanner=self._scanner(engine),
-            end_anchored=frozenset(self._end_anchored),
-            finalize=self._result_from_reports,
-        )
-        return MatchSession([part], stream=stream, on_match=on_match)
-
-    def stream_scanner(self, engine: Optional[str] = None):
-        """A fresh raw backend scanner over the cached tables.
-
-        .. deprecated::
-            Use :meth:`session` instead -- raw scanners expose the
-            unresolved ``(position, report_id)`` tuple surface (a
-            ``list`` from ``feed``, a ``set`` from ``finish``) without
-            ``$`` gating or report naming; sessions unify all of that
-            behind sorted :class:`~repro.session.Match` lists.
-        """
-        warnings.warn(
-            "RulesetMatcher.stream_scanner() is deprecated; use "
-            "RulesetMatcher.session() for incremental Match emission "
-            "(raw scanners remain available via repro.engine.backends)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._scanner(engine)
-
-    def scan(self, data: Chunk, engine: Optional[str] = None) -> ScanResult:
-        """Run one in-memory buffer through the simulated hardware.
-
-        ``engine`` overrides the matcher's default (any registered
-        backend name, or ``"auto"``); results are identical on every
-        backend.  Equivalent to a one-chunk :meth:`session`.
-        """
-        with self.session(engine=engine) as session:
-            session.feed(data)
-        return session.result()
-
-    def scan_stream(
-        self, chunks: Iterable[Chunk], engine: Optional[str] = None
-    ) -> ScanResult:
-        """Scan a stream delivered as an iterable of chunks.
-
-        Enable vectors, counters, and bit-vector registers carry across
-        chunk boundaries, so the result equals :meth:`scan` of the
-        concatenated stream (``$`` gating included -- it is applied
-        after the last chunk, when the stream length is known).  A thin
-        wrapper over :meth:`session`; use the session directly when the
-        per-chunk :class:`~repro.session.Match` events matter.
-        """
-        with self.session(engine=engine) as session:
-            for chunk in chunks:
-                session.feed(chunk)
-        return session.result()
-
-    def scan_many(
-        self,
-        streams: Sequence[Chunk],
-        processes: int = 0,
-        engine: Optional[str] = None,
-    ) -> list[ScanResult]:
-        """Scan a batch of independent streams (one result each).
-
-        With ``processes > 1`` the batch fans out over worker processes
-        (the precompiled tables ship to each worker once, and the
-        backend choice ships with them); otherwise each stream runs
-        through an in-process session.  Results are identical either
-        way.
-        """
-        if processes > 1:
-            from .engine.parallel import scan_streams
-
-            grid = scan_streams(
-                [self.tables],
-                streams,
-                processes=processes,
-                engine=engine or self.engine,
-            )
-            return [
-                self._result_from_reports(reports, n_bytes, stats)
-                for ((n_bytes, reports, stats),) in grid
-            ]
-        return [self.scan(stream, engine=engine) for stream in streams]
-
-    def matched_rules(self, data: Chunk) -> set[str]:
-        """Convenience: just the ids of rules that matched."""
-        return self.scan(data).matched_rules()
+    @property
+    def _shard_matchers(self) -> "list[RulesetMatcher]":
+        return [self]
 
 
 class PatternMatcher:

@@ -32,8 +32,11 @@ length-prefixed payloads.  The pieces:
   :class:`~repro.engine.parallel.ShardedMatcher`), with lockstep
   FEED fan-out, merged match streams, and
   :class:`ClusterPartialResultError` on mid-flight shard failure;
-  :class:`LocalShardCluster`/:class:`ClusterSpec` spawn or describe
-  the shard servers.
+  :class:`LocalShardCluster` spawns the shard servers locally;
+* :mod:`repro.serve.worker` -- the one worker bootstrap behind both
+  the fleet's workers and the cluster's shard processes
+  (:class:`MatcherSpec` recipe, child entry point, parent-side
+  process handle).
 
 CLI: ``python -m repro serve --rules ... --port ... [--workers N
 --reload --control PATH]``, ``python -m repro connect --port ...``,
@@ -55,7 +58,6 @@ from .client import (
 )
 from .cluster import (
     ClusterPartialResultError,
-    ClusterSpec,
     LocalShardCluster,
     RemoteShardedMatcher,
 )
@@ -79,7 +81,6 @@ __all__ = [
     "ControlServer",
     "ControlClient",
     "ClusterPartialResultError",
-    "ClusterSpec",
     "LocalShardCluster",
     "RemoteShardedMatcher",
     "backoff_delays",

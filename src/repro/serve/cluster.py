@@ -43,28 +43,29 @@ list with the same dedup + round-robin policy as ``ShardedMatcher``
 (:func:`~repro.compiler.pipeline.dedupe_rules` then
 :func:`~repro.engine.parallel.shard_rules`) and spawns one
 ``MatchServer`` per bucket -- in-process on a private event loop, or
-one OS process per shard (``processes=True``) for real parallelism.
-:class:`ClusterSpec` is the picklable recipe both the ``repro
-cluster`` CLI and tests build from.  Topology and sizing guidance:
-``docs/SERVING.md`` "Cluster deployment".
+one OS process per shard (``processes=True``) for real parallelism,
+each child booted by the same :mod:`repro.serve.worker` bootstrap as a
+fleet worker.  Topology and sizing guidance: ``docs/SERVING.md``
+"Cluster deployment".
 """
 
 from __future__ import annotations
 
 import asyncio
 import threading
-from dataclasses import dataclass, fields as dataclass_fields
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from dataclasses import replace
+from typing import Iterable, Optional, Sequence, Union
 
-from ..engine.scanner import Chunk, coerce_chunk
-from ..session import Match, MatchSink, match_dict
+from ..compiler.pipeline import dedupe_rules
+from ..engine.parallel import mp_context, shard_rules
+from ..session import Match, MatchSession, MatchSink, SessionScans, match_dict
 from .client import MatchClient, StreamSummary
 from .protocol import validate_stream_tag
 from .stats import ServerStats, merge_server_stats
+from .worker import MatcherSpec, WorkerConfig, WorkerProcess, stop_workers
 
 __all__ = [
     "ClusterPartialResultError",
-    "ClusterSpec",
     "LocalShardCluster",
     "RemoteShardedMatcher",
     "parse_endpoint",
@@ -75,14 +76,17 @@ __all__ = [
 DEFAULT_OP_TIMEOUT = 60.0
 
 
-def parse_endpoint(text: str) -> tuple[str, int]:
-    """Parse one ``host:port`` endpoint string.
+def parse_endpoint(text: Union[str, tuple[str, int]]) -> tuple[str, int]:
+    """Parse one ``host:port`` endpoint string (an already-split
+    ``(host, port)`` pair passes through).
 
     >>> parse_endpoint("10.0.0.7:7401")
     ('10.0.0.7', 7401)
     >>> parse_endpoint("7401")
     ('127.0.0.1', 7401)
     """
+    if not isinstance(text, str):
+        return (text[0], text[1])
     host, sep, port = text.strip().rpartition(":")
     if not sep:
         host, port = "127.0.0.1", text.strip()
@@ -180,22 +184,14 @@ class _LoopThread:
             self._loop.close()
 
 
-def _stats_from_payload(payload: dict) -> ServerStats:
-    """Rebuild a :class:`ServerStats` from its ``STATS`` wire dict
-    (derived keys like ``throughput_bps`` are dropped)."""
-    names = {field.name for field in dataclass_fields(ServerStats)}
-    return ServerStats(**{k: v for k, v in payload.items() if k in names})
-
-
-class ClusterSession:
+class ClusterSession(MatchSession):
     """One logical stream scanned by every shard of a cluster.
 
-    Duck-types the :class:`~repro.session.MatchSession` surface
-    (``feed``/``finish``/``matches``/``result``, ``bytes_fed``,
-    ``finished``, context manager, ``on_match`` sink) so
-    :class:`~repro.session.MultiStreamScanner` and the serving layer
-    drive remote sessions exactly like local ones.  Built by
-    :meth:`RemoteShardedMatcher.session`, not directly.
+    A :class:`~repro.session.MatchSession` whose three shard-touching
+    hooks go over the wire -- lifecycle, ordering and sink emission are
+    the base class's -- so :class:`~repro.session.MultiStreamScanner`
+    and the serving layer drive remote sessions exactly like local
+    ones.  Built by :meth:`RemoteShardedMatcher.session`, not directly.
     """
 
     def __init__(
@@ -205,38 +201,27 @@ class ClusterSession:
         stream: Optional[str] = None,
         on_match: Optional[MatchSink] = None,
     ):
+        # one part per shard, like the base class -- here a part is the
+        # cursor past the last event consumed from that shard's client
+        super().__init__(
+            [0] * matcher.shard_count, stream=stream, on_match=on_match
+        )
         self._matcher = matcher
-        #: tag carried by every match this session emits
-        self.stream = stream
-        #: sink called once per emitted match, in emission order
-        self.on_match = on_match
         self._wire = matcher._claim_wire_tag(stream)
-        self._cursors = [0] * matcher.shard_count
         self._delivered: list[Match] = []
-        self._bytes = 0
-        self._finished = False
         self._summaries: Optional[list[StreamSummary]] = None
-        self._result = None
+        matcher._fanout(
+            lambda client: client.open(self._wire), op="OPEN", session=self
+        )
+        # registered only once open everywhere: a never-opened session
+        # must not linger as an "affected stream" of every later failure
         matcher._open_sessions[self._wire] = self
-        try:
-            matcher._fanout(
-                lambda client: client.open(self._wire), op="OPEN", session=self
-            )
-        except BaseException:
-            # never-opened sessions must not linger as "affected
-            # streams" of every later failure
-            matcher._open_sessions.pop(self._wire, None)
-            raise
 
     # -- introspection -----------------------------------------------------
     @property
-    def bytes_fed(self) -> int:
-        """Total stream bytes consumed so far."""
-        return self._bytes
-
-    @property
-    def finished(self) -> bool:
-        return self._finished
+    def scanners(self) -> list:
+        """Empty: the backend scanners live in the shard servers."""
+        return []
 
     @property
     def delivered(self) -> list[Match]:
@@ -244,116 +229,77 @@ class ClusterSession:
         mid-flight shard failure)."""
         return list(self._delivered)
 
-    # -- context manager ---------------------------------------------------
-    def __enter__(self) -> "ClusterSession":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        if exc_type is None:
-            self.finish()
-        return False
-
-    # -- streaming ---------------------------------------------------------
-    def feed(self, chunk: Chunk) -> list[Match]:
-        """Fan one chunk out to every shard; return its new matches.
-
-        Lockstep: a ``PING`` barrier follows the ``FEED`` on each
-        connection, so on return every shard has scanned the chunk and
-        flushed its matches -- the returned list is complete for this
-        chunk and sorted by :attr:`~repro.session.Match.sort_key`,
-        exactly like an offline session's ``feed``.
-        """
-        if self._finished:
-            raise RuntimeError(
-                "feed() after finish(); open a new session to scan again"
-            )
-        payload = bytes(coerce_chunk(chunk))
-
-        async def op(client: MatchClient) -> None:
-            await client.feed(self._wire, payload)
-            await client.ping()  # barrier: PONG proves the FEED was scanned
-
-        self._matcher._fanout(op, op="FEED", session=self)
-        self._bytes += len(payload)
-        return self._collect()
-
-    def finish(self) -> list[Match]:
-        """Close the stream on every shard; return the matches the
-        end-of-data unlocks (the servers gate ``$``-anchored rules).
-        Idempotent: a second call returns ``[]``."""
-        if self._finished:
-            return []
-        summaries = self._matcher._fanout(
-            lambda client: client.close_stream(self._wire),
-            op="CLOSE",
-            session=self,
-        )
-        self._finished = True
-        self._summaries = summaries
-        self._matcher._open_sessions.pop(self._wire, None)
-        return self._collect()
-
-    def matches(self, chunks: Iterable[Chunk]) -> Iterator[Match]:
-        """Lazily scan an iterable of chunks, yielding matches as they
-        arrive (and the end-gated ones after the last chunk)."""
-        for chunk in chunks:
-            yield from self.feed(chunk)
-        yield from self.finish()
-
-    def result(self):
-        """The merged :class:`~repro.matching.ScanResult` across all
-        shards (finishing the stream if needed)."""
-        from ..engine.parallel import merge_scan_results
-        from ..matching import ScanResult
-
-        if not self._finished:
-            self.finish()
-        if self._result is None:
-            assert self._summaries is not None
-            shard_results = []
-            for index, client in enumerate(self._matcher._clients):
-                events = client._events.get(self._wire, [])
-                shard_results.append(
-                    ScanResult(
-                        bytes_scanned=self._summaries[index].bytes_scanned,
-                        matches=match_dict(
-                            Match(rule=rule, end=end, stream=self.stream,
-                                  generation=gen)
-                            for rule, end, gen in events
-                        ),
-                    )
-                )
-            self._result = merge_scan_results(shard_results)
-        return self._result
-
     def summaries(self) -> list[StreamSummary]:
         """Per-shard ``CLOSED`` summaries (after :meth:`finish`)."""
         if self._summaries is None:
             raise RuntimeError("stream not finished yet")
         return list(self._summaries)
 
-    # -- plumbing ----------------------------------------------------------
+    def _emit(self, matches: list[Match]) -> list[Match]:
+        self._delivered.extend(super()._emit(matches))
+        return matches
+
+    # -- the shard-touching hooks, over the wire ---------------------------
+    def _feed_shards(self, chunk: bytes) -> list[Match]:
+        """Fan one chunk out to every shard in lockstep: a ``PING``
+        barrier follows the ``FEED`` on each connection, so on return
+        every shard has scanned the chunk and flushed its matches."""
+        payload = bytes(chunk)
+
+        async def op(client: MatchClient) -> None:
+            await client.feed(self._wire, payload)
+            await client.ping()  # barrier: PONG proves the FEED was scanned
+
+        self._matcher._fanout(op, op="FEED", session=self)
+        return self._collect()
+
+    def _finish_shards(self) -> list[Match]:
+        """Close the stream on every shard (the servers gate
+        ``$``-anchored rules, so their matches arrive with the CLOSE)."""
+        self._summaries = self._matcher._fanout(
+            lambda client: client.close_stream(self._wire),
+            op="CLOSE",
+            session=self,
+        )
+        self._matcher._open_sessions.pop(self._wire, None)
+        return self._collect()
+
+    def _merge_result(self):
+        """Per-shard :class:`~repro.matching.ScanResult`\\ s folded with
+        :func:`~repro.engine.parallel.merge_scan_results`."""
+        from ..engine.parallel import merge_scan_results
+        from ..matching import ScanResult
+
+        assert self._summaries is not None
+        return merge_scan_results(
+            [
+                ScanResult(
+                    bytes_scanned=summary.bytes_scanned,
+                    matches=match_dict(
+                        Match(rule, end)
+                        for rule, end, _ in client._events.get(self._wire, [])
+                    ),
+                )
+                for client, summary in zip(self._matcher._clients, self._summaries)
+            ]
+        )
+
     def _collect(self) -> list[Match]:
-        """Drain newly arrived per-shard events past each cursor, merge
-        and re-tag them, and emit in deterministic order."""
+        """Newly arrived per-shard events past each cursor, re-tagged
+        with this session's stream (unsorted: the base class orders)."""
         fresh: list[Match] = []
         for index, client in enumerate(self._matcher._clients):
             events = client._events.get(self._wire, [])
             seen = len(events)
-            for rule, end, gen in events[self._cursors[index]:seen]:
+            for rule, end, gen in events[self._parts[index]:seen]:
                 fresh.append(
                     Match(rule=rule, end=end, stream=self.stream, generation=gen)
                 )
-            self._cursors[index] = seen
-        fresh.sort(key=lambda match: match.sort_key)
-        if self.on_match is not None:
-            for match in fresh:
-                self.on_match(match)
-        self._delivered.extend(fresh)
+            self._parts[index] = seen
         return fresh
 
 
-class RemoteShardedMatcher:
+class RemoteShardedMatcher(SessionScans):
     """The :class:`~repro.session.Matcher` protocol over network shards.
 
     Attaches one :class:`~repro.serve.client.MatchClient` per shard
@@ -390,10 +336,7 @@ class RemoteShardedMatcher:
     ):
         if not shards:
             raise ValueError("a cluster needs at least one shard endpoint")
-        self._addresses: list[tuple[str, int]] = [
-            parse_endpoint(entry) if isinstance(entry, str) else (entry[0], entry[1])
-            for entry in shards
-        ]
+        self._addresses = [parse_endpoint(entry) for entry in shards]
         #: Matcher-protocol engine name; backend choice is per shard
         #: *server* configuration, invisible on this side of the wire
         self.engine: str = "remote"
@@ -489,9 +432,7 @@ class RemoteShardedMatcher:
         its ephemeral port).
         """
         if address is not None:
-            self._addresses[shard] = (
-                parse_endpoint(address) if isinstance(address, str) else address
-            )
+            self._addresses[shard] = parse_endpoint(address)
         host, port = self._addresses[shard]
         attempts = self.retries if retries is None else retries
 
@@ -520,34 +461,6 @@ class RemoteShardedMatcher:
         del engine
         return ClusterSession(self, stream=stream, on_match=on_match)
 
-    def scan(self, data: Chunk, engine: Optional[str] = None):
-        with self.session(engine=engine) as session:
-            session.feed(data)
-        return session.result()
-
-    def scan_stream(self, chunks: Iterable[Chunk], engine: Optional[str] = None):
-        """Feed one stream of chunks through every shard in lockstep."""
-        with self.session(engine=engine) as session:
-            for chunk in chunks:
-                session.feed(chunk)
-        return session.result()
-
-    def scan_many(
-        self,
-        streams: Sequence[Chunk],
-        processes: Optional[int] = None,
-        engine: Optional[str] = None,
-    ) -> list:
-        """Scan a batch of independent streams; one merged result each
-        (``processes`` is accepted for protocol compatibility -- the
-        parallelism here is the shard servers, not local workers)."""
-        del processes
-        return [self.scan(stream, engine=engine) for stream in streams]
-
-    def matched_rules(self, data: Chunk) -> set[str]:
-        """Convenience: just the ids of rules that matched."""
-        return self.scan(data).matched_rules()
-
     # -- cluster-wide operations -------------------------------------------
     def ping(self) -> None:
         """Liveness barrier across every shard."""
@@ -556,7 +469,7 @@ class RemoteShardedMatcher:
     def shard_stats(self) -> list[ServerStats]:
         """Per-shard ``STATS`` snapshots, in shard order."""
         payloads = self._fanout(lambda client: client.stats(), op="STATS")
-        return [_stats_from_payload(payload) for payload in payloads]
+        return [ServerStats.from_dict(payload) for payload in payloads]
 
     def stats(self) -> ServerStats:
         """One cluster-wide snapshot: per-shard ``STATS`` folded with
@@ -639,176 +552,7 @@ class RemoteShardedMatcher:
         )
 
 
-@dataclass(frozen=True)
-class ClusterSpec:
-    """A picklable recipe for one cluster deployment.
-
-    Two modes, mirroring the ``repro cluster`` CLI:
-
-    * **attach** -- ``addresses`` names running shard servers
-      (production: each shard is its own ``repro serve`` / fleet);
-    * **spawn** -- ``rules`` + ``shards`` describe a
-      :class:`LocalShardCluster` to start locally (dev/CI).
-
-    >>> spec = ClusterSpec.attach(["10.0.0.7:7401", "10.0.0.8:7401"])
-    >>> spec.mode, spec.addresses
-    ('attach', (('10.0.0.7', 7401), ('10.0.0.8', 7401)))
-    >>> ClusterSpec.spawn([("hit", "abc")], shards=3).mode
-    'spawn'
-    """
-
-    #: shard endpoints (attach mode)
-    addresses: tuple[tuple[str, int], ...] = ()
-    #: normalized ``(id, pattern)`` rules to shard locally (spawn mode)
-    rules: tuple[tuple[str, str], ...] = ()
-    #: local shard-server count (spawn mode)
-    shards: int = 0
-    engine: Optional[str] = None
-    unfold_threshold: float = 0
-    opt_level: int = 0
-    cache_dir: Optional[str] = None
-    host: str = "127.0.0.1"
-    #: fixed ports for spawned shards (empty = ephemeral)
-    ports: tuple[int, ...] = ()
-
-    @property
-    def mode(self) -> str:
-        return "attach" if self.addresses else "spawn"
-
-    @classmethod
-    def attach(cls, endpoints: Iterable[Union[str, tuple[str, int]]]) -> "ClusterSpec":
-        """Spec for an existing fleet of shard servers."""
-        parsed = tuple(
-            parse_endpoint(entry) if isinstance(entry, str) else (entry[0], entry[1])
-            for entry in endpoints
-        )
-        if not parsed:
-            raise ValueError("attach mode needs at least one host:port endpoint")
-        return cls(addresses=parsed)
-
-    @classmethod
-    def spawn(
-        cls,
-        rules: Union[Iterable[str], Sequence[tuple[str, str]]],
-        shards: int = 3,
-        **options,
-    ) -> "ClusterSpec":
-        """Spec for a locally spawned :class:`LocalShardCluster`."""
-        from ..compiler.pipeline import normalize_rules
-
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
-        return cls(rules=tuple(normalize_rules(rules)), shards=shards, **options)
-
-    def start(self, processes: bool = False, **overrides) -> "LocalShardCluster":
-        """Spawn-mode: build and start the local shard cluster."""
-        if self.mode != "spawn":
-            raise ValueError("start() is for spawn-mode specs; use connect()")
-        cluster = LocalShardCluster(
-            list(self.rules),
-            shards=self.shards,
-            host=self.host,
-            ports=self.ports,
-            engine=self.engine,
-            unfold_threshold=self.unfold_threshold,
-            opt_level=self.opt_level,
-            cache_dir=self.cache_dir,
-            processes=processes,
-            **overrides,
-        )
-        cluster.start()
-        return cluster
-
-    def connect(self, retries: int = 5,
-                timeout: float = DEFAULT_OP_TIMEOUT) -> RemoteShardedMatcher:
-        """Attach-mode: connect a :class:`RemoteShardedMatcher`."""
-        if self.mode != "attach":
-            raise ValueError("connect() is for attach-mode specs; use start()")
-        return RemoteShardedMatcher(
-            self.addresses, retries=retries, timeout=timeout
-        )
-
-
 # -- local shard-server harness --------------------------------------------
-def _shard_worker_main(spec, host, port, queue_depth, threads,
-                       drain_timeout, conn):
-    """Process entry point: serve one ruleset shard until told to stop.
-
-    Module-level (not a closure) so it works under the ``spawn`` start
-    method.  SIGINT is ignored (terminal Ctrl-C hits the whole group;
-    the parent coordinates shutdown); SIGTERM drains gracefully.
-    """
-    import signal
-
-    if hasattr(signal, "SIGINT"):
-        try:
-            signal.signal(signal.SIGINT, signal.SIG_IGN)
-        except (OSError, ValueError):  # pragma: no cover - exotic env
-            pass
-    try:
-        asyncio.run(
-            _shard_worker_async(
-                spec, host, port, queue_depth, threads, drain_timeout, conn
-            )
-        )
-    except Exception as exc:  # noqa: BLE001 - reported to the parent
-        try:
-            conn.send({"event": "error", "message": f"{type(exc).__name__}: {exc}"})
-        except (OSError, BrokenPipeError, ValueError):
-            pass
-        raise
-
-
-async def _shard_worker_async(spec, host, port, queue_depth, threads,
-                              drain_timeout, conn):
-    import signal
-
-    from .server import MatchServer
-
-    loop = asyncio.get_running_loop()
-    matcher = spec.build()
-    server = MatchServer(
-        matcher,
-        host=host,
-        port=port,
-        engine=spec.engine,
-        queue_depth=queue_depth,
-        workers=threads,
-        drain_timeout=drain_timeout,
-    )
-    await server.start()
-
-    mailbox: asyncio.Queue = asyncio.Queue()
-
-    def on_readable() -> None:
-        try:
-            while conn.poll():
-                mailbox.put_nowait(conn.recv())
-        except (EOFError, OSError):
-            # parent hung up: immediate stop
-            mailbox.put_nowait({"cmd": "stop", "drain": False})
-
-    loop.add_reader(conn.fileno(), on_readable)
-    if hasattr(signal, "SIGTERM"):
-        try:
-            loop.add_signal_handler(
-                signal.SIGTERM,
-                lambda: mailbox.put_nowait({"cmd": "stop", "drain": True}),
-            )
-        except (NotImplementedError, RuntimeError):  # pragma: no cover
-            pass
-
-    conn.send({"event": "ready", "port": server.port})
-    message = await mailbox.get()
-    drain = bool(message.get("drain", True))
-    loop.remove_reader(conn.fileno())
-    await server.stop(drain=drain)
-    try:
-        conn.send({"event": "stopped", "stats": server.stats().as_dict()})
-    except (OSError, BrokenPipeError, ValueError):  # pragma: no cover
-        pass
-
-
 class LocalShardCluster:
     """Spawn M local shard ``MatchServer``\\ s from one ruleset (dev/CI).
 
@@ -822,10 +566,13 @@ class LocalShardCluster:
 
     ``processes=False`` (default) runs every shard server on one
     private event loop in this process -- fastest startup, perfect for
-    tests.  ``processes=True`` forks one OS process per shard (real
-    CPU parallelism, the production-shaped dev topology); when
-    multiprocessing is unavailable it degrades to in-process serving
-    with identical semantics (:attr:`mode` says which you got).
+    tests.  ``processes=True`` forks one
+    :class:`~repro.serve.worker.WorkerProcess` per shard (real CPU
+    parallelism, the production-shaped dev topology); only where
+    multiprocessing itself is unavailable does it degrade to
+    in-process serving (:attr:`mode` says which you got) -- a shard
+    child that fails to start raises.  ``**compile_options`` are the
+    per-shard :class:`~repro.serve.worker.MatcherSpec` fields.
 
     Usage::
 
@@ -844,19 +591,12 @@ class LocalShardCluster:
         *,
         host: str = "127.0.0.1",
         ports: Sequence[int] = (),
-        engine: Optional[str] = None,
-        unfold_threshold: float = 0,
-        opt_level: int = 0,
-        cache_dir: Optional[str] = None,
         queue_depth: int = 32,
         threads: Optional[int] = None,
         drain_timeout: float = 10.0,
         processes: bool = False,
+        **compile_options,
     ):
-        from ..compiler.pipeline import dedupe_rules
-        from ..engine.parallel import shard_rules
-        from .fleet import MatcherSpec
-
         if ports and len(ports) != shards:
             raise ValueError(
                 f"got {len(ports)} port(s) for {shards} shard(s)"
@@ -864,154 +604,94 @@ class LocalShardCluster:
         unique, self.duplicate_skipped = dedupe_rules(rules)
         self._buckets = shard_rules(unique, shards)
         self._specs = [
-            MatcherSpec(
-                rules=tuple(bucket),
-                engine=engine,
-                unfold_threshold=unfold_threshold,
-                opt_level=opt_level,
-                cache_dir=cache_dir,
-            )
+            MatcherSpec(rules=tuple(bucket), **compile_options)
             for bucket in self._buckets
         ]
+        self._configs = [
+            WorkerConfig(
+                index=index,
+                host=host,
+                port=ports[index] if ports else 0,
+                queue_depth=queue_depth,
+                threads=threads,
+                drain_timeout=drain_timeout,
+            )
+            for index in range(shards)
+        ]
         self.host = host
-        self.ports = tuple(ports) if ports else tuple(0 for _ in range(shards))
-        self.engine = engine
-        self.queue_depth = queue_depth
-        self.threads = threads
         self.drain_timeout = drain_timeout
-        self._want_processes = processes
+        #: the multiprocessing context shard processes fork from;
+        #: ``None`` = serve in-process (asked for, or no multiprocessing)
+        self._ctx = mp_context() if processes else None
         #: "in-process" or "processes" once started
         self.mode: Optional[str] = None
         self._addresses: list[tuple[str, int]] = []
         self._loop: Optional[_LoopThread] = None
+        #: per shard: a ``MatchServer`` (in-process) or ``WorkerProcess``
         self._servers: list = []
         self._matchers: list = []
-        self._procs: list = []
-        self._conns: list = []
-        self._alive: list[bool] = []
-        self._stopped = False
+        self._alive = [True] * shards
         self._final_stats: Optional[ServerStats] = None
 
     # -- lifecycle ---------------------------------------------------------
     def start(self) -> list[tuple[str, int]]:
-        """Start every shard server; return their addresses."""
+        """Start every shard server; return their addresses.  A shard
+        that cannot start (a fixed port already bound, a compile error
+        in the child, ...) raises with the cause once whatever already
+        started is torn down; :attr:`mode` stays ``None``."""
         if self.mode is not None:
             raise RuntimeError("cluster already started")
-        if self._want_processes and self._start_processes():
-            self.mode = "processes"
-        else:
-            self._start_in_process()
-            self.mode = "in-process"
-        self._alive = [True] * self.shard_count
+        try:
+            if self._ctx is None:
+                self._loop = _LoopThread("repro-shard-servers")
+                self._matchers = [spec.build() for spec in self._specs]
+            for shard, config in enumerate(self._configs):
+                server, address = self._start_shard(shard, config)
+                self._servers.append(server)
+                self._addresses.append(address)
+        except BaseException:
+            self._stop_servers(drain=False)
+            self._servers, self._addresses = [], []
+            raise
+        self.mode = "in-process" if self._ctx is None else "processes"
         return self.addresses
 
-    def _start_in_process(self) -> None:
-        from .server import MatchServer
+    def _start_shard(self, shard: int, config: WorkerConfig):
+        """Shard ``shard``'s ``(server, address)``: a forked
+        :class:`WorkerProcess`, or a server on the private loop."""
+        spec = self._specs[shard]
+        if self._ctx is not None:
+            worker = WorkerProcess(self._ctx, spec, config)
+            return worker, (self.host, worker.port)
+        server = config.make_server(self._matchers[shard], spec.engine)
+        self._loop.run(server.start(), timeout=30.0)
+        return server, (server.host, server.port)
 
-        self._loop = _LoopThread("repro-shard-servers")
-        try:
-            self._matchers = [spec.build() for spec in self._specs]
-            for matcher, port in zip(self._matchers, self.ports):
-                server = MatchServer(
-                    matcher,
-                    host=self.host,
-                    port=port,
-                    engine=self.engine,
-                    queue_depth=self.queue_depth,
-                    workers=self.threads,
-                    drain_timeout=self.drain_timeout,
-                )
-                self._loop.run(server.start(), timeout=30.0)
-                self._servers.append(server)
-        except BaseException:
-            for server in self._servers:
-                try:
-                    self._loop.run(server.stop(drain=False), timeout=10.0)
-                except Exception:  # noqa: BLE001 - already tearing down
-                    pass
+    def _stop_servers(self, drain: bool) -> list[ServerStats]:
+        """Stop whatever is running (skipping killed shards) and the
+        private loop; the final per-shard snapshots that were still
+        obtainable."""
+        timeout = self.drain_timeout + 10.0
+        live = [
+            server for server, alive in zip(self._servers, self._alive) if alive
+        ]
+        if self._ctx is not None:
+            return stop_workers(live, drain, timeout)
+        for server in live:
+            try:
+                self._loop.run(server.stop(drain=drain), timeout=timeout)
+            except Exception:  # noqa: BLE001 - keep stopping the others
+                pass
+        if self._loop is not None:
             self._loop.stop()
-            raise
-        self._addresses = [(server.host, server.port) for server in self._servers]
-
-    def _start_processes(self) -> bool:
-        """Fork one server process per shard; False = cannot (degrade)."""
-        from ..engine.parallel import mp_context
-
-        context = mp_context()
-        if context is None:
-            return False
-        procs, conns, addresses = [], [], []
-        try:
-            for spec, port in zip(self._specs, self.ports):
-                parent_conn, child_conn = context.Pipe()
-                proc = context.Process(
-                    target=_shard_worker_main,
-                    args=(spec, self.host, port, self.queue_depth,
-                          self.threads, self.drain_timeout, child_conn),
-                    daemon=True,
-                )
-                proc.start()
-                child_conn.close()
-                procs.append(proc)
-                conns.append(parent_conn)
-                if not parent_conn.poll(120.0):
-                    raise RuntimeError("shard worker did not report ready")
-                event = parent_conn.recv()
-                if event.get("event") != "ready":
-                    raise RuntimeError(
-                        f"shard worker failed: {event.get('message', event)}"
-                    )
-                addresses.append((self.host, int(event["port"])))
-        except Exception:
-            for proc in procs:
-                if proc.is_alive():
-                    proc.kill()
-                proc.join(timeout=5.0)
-            return False
-        self._procs, self._conns, self._addresses = procs, conns, addresses
-        return True
+        return [server.stats() for server in self._servers]
 
     def stop(self, drain: bool = True) -> ServerStats:
         """Stop every live shard; return the merged final stats
         (:func:`~repro.serve.stats.merge_server_stats` over whatever
         shards were still reachable -- a neutral snapshot if none)."""
-        if self._stopped:
-            assert self._final_stats is not None
-            return self._final_stats
-        self._stopped = True
-        snapshots: list[ServerStats] = []
-        if self.mode == "processes":
-            for index, (proc, conn) in enumerate(zip(self._procs, self._conns)):
-                if not self._alive[index]:
-                    continue
-                try:
-                    conn.send({"cmd": "stop", "drain": drain})
-                    if conn.poll(self.drain_timeout + 10.0):
-                        event = conn.recv()
-                        if event.get("event") == "stopped":
-                            snapshots.append(
-                                _stats_from_payload(event["stats"])
-                            )
-                except (OSError, BrokenPipeError, EOFError, ValueError):
-                    pass
-                proc.join(timeout=self.drain_timeout + 10.0)
-                if proc.is_alive():  # pragma: no cover - stuck worker
-                    proc.kill()
-                    proc.join(timeout=5.0)
-        elif self.mode == "in-process":
-            assert self._loop is not None
-            for index, server in enumerate(self._servers):
-                if self._alive[index]:
-                    try:
-                        self._loop.run(
-                            server.stop(drain=drain),
-                            timeout=self.drain_timeout + 10.0,
-                        )
-                    except Exception:  # noqa: BLE001 - keep stopping others
-                        pass
-                snapshots.append(server.stats())
-            self._loop.stop()
-        self._final_stats = merge_server_stats(snapshots)
+        if self._final_stats is None:
+            self._final_stats = merge_server_stats(self._stop_servers(drain))
         return self._final_stats
 
     def __enter__(self) -> "LocalShardCluster":
@@ -1043,31 +723,15 @@ class LocalShardCluster:
         """Deduplicated rules served across all shards."""
         return sum(len(bucket) for bucket in self._buckets)
 
-    @property
-    def compile_info(self):
-        """Merged compile provenance across shard matchers
-        (:func:`~repro.matching.merge_compile_infos`; ``None`` in
-        processes mode, where compilation happens in the children)."""
-        from ..matching import merge_compile_infos
-
-        if self.mode != "in-process" or not self._matchers:
-            return None
-        return merge_compile_infos(
-            [matcher.compile_info for matcher in self._matchers]
-        )
-
     def kill_shard(self, shard: int) -> None:
         """Hard-kill one shard server (no drain) -- the fault-injection
         hook the cluster tests use to simulate a shard dying."""
         if not self._alive[shard]:
             return
         self._alive[shard] = False
-        if self.mode == "processes":
-            proc = self._procs[shard]
-            proc.kill()
-            proc.join(timeout=10.0)
+        if self._ctx is not None:
+            self._servers[shard].kill()
         else:
-            assert self._loop is not None
             self._loop.run(
                 self._servers[shard].stop(drain=False), timeout=10.0
             )
@@ -1076,50 +740,13 @@ class LocalShardCluster:
         """Start a fresh server for one (killed) shard's bucket; returns
         its new address (ephemeral port: the old one may still linger in
         TIME_WAIT).  Pairs with
-        :meth:`RemoteShardedMatcher.reattach`."""
-        from .server import MatchServer
-
+        :meth:`RemoteShardedMatcher.reattach`.  A replacement that
+        fails to start raises and leaves nothing running."""
         if self._alive[shard]:
             raise RuntimeError(f"shard {shard} is still running")
-        if self.mode == "processes":
-            from ..engine.parallel import mp_context
-
-            context = mp_context()
-            assert context is not None  # processes mode implies a context
-            parent_conn, child_conn = context.Pipe()
-            proc = context.Process(
-                target=_shard_worker_main,
-                args=(self._specs[shard], self.host, 0, self.queue_depth,
-                      self.threads, self.drain_timeout, child_conn),
-                daemon=True,
-            )
-            proc.start()
-            child_conn.close()
-            if not parent_conn.poll(120.0):
-                proc.kill()
-                raise RuntimeError("restarted shard did not report ready")
-            event = parent_conn.recv()
-            if event.get("event") != "ready":
-                raise RuntimeError(
-                    f"restarted shard failed: {event.get('message', event)}"
-                )
-            self._procs[shard] = proc
-            self._conns[shard] = parent_conn
-            address = (self.host, int(event["port"]))
-        else:
-            assert self._loop is not None
-            server = MatchServer(
-                self._matchers[shard],
-                host=self.host,
-                port=0,
-                engine=self.engine,
-                queue_depth=self.queue_depth,
-                workers=self.threads,
-                drain_timeout=self.drain_timeout,
-            )
-            self._loop.run(server.start(), timeout=30.0)
-            self._servers[shard] = server
-            address = (server.host, server.port)
+        self._servers[shard], address = self._start_shard(
+            shard, replace(self._configs[shard], port=0)
+        )
         self._alive[shard] = True
         self._addresses[shard] = address
         return address

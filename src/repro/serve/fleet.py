@@ -14,7 +14,8 @@ scale-out layer -- the same story as kernel-sharded IDS deployments:
 * each worker runs a **full** server -- own
   :class:`~repro.matching.RulesetMatcher`, own
   :class:`~repro.engine.parallel.FeedPool` -- built from a picklable
-  :class:`MatcherSpec`.  The parent compiles the spec once first, so
+  :class:`MatcherSpec` by the shared :mod:`repro.serve.worker`
+  bootstrap.  The parent compiles the spec once first, so
   every worker warm-starts from the shared compiled-ruleset cache
   (``cache_hit`` is reported in each worker's ready event);
 * **hot reload** (:meth:`WorkerFleet.reload`): the parent compiles
@@ -31,27 +32,24 @@ scale-out layer -- the same story as kernel-sharded IDS deployments:
   fleet-wide :class:`~repro.serve.stats.ServerStats` via
   :func:`~repro.serve.stats.merge_server_stats`.
 
-Parent and workers talk over per-worker :func:`multiprocessing.Pipe`
-duplex channels carrying small dict messages (``ready`` / ``reload``
-/ ``stats`` / ``stop`` / ``stopped``); the data plane never touches
-the parent.  The supervisor is synchronous by design -- it is control
-plane only, driven from the CLI's signal handlers or a
-:class:`~repro.serve.control.ControlServer`.
+Parent and workers talk over the :mod:`repro.serve.worker` pipe
+protocol; the data plane never touches the parent.  The supervisor is
+synchronous by design -- it is control plane only, driven from the
+CLI's signal handlers or a :class:`~repro.serve.control.ControlServer`.
 """
 
 from __future__ import annotations
 
-import os
-import signal
 import socket
 import tempfile
 import threading
-import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Iterable, Optional, Sequence, Union
 
+from ..compiler.pipeline import normalize_rules
 from ..engine.parallel import mp_context
 from .stats import ServerStats, merge_server_stats
+from .worker import MatcherSpec, WorkerConfig, WorkerError, WorkerProcess, stop_workers
 
 __all__ = [
     "FleetError",
@@ -60,17 +58,15 @@ __all__ = [
     "reuse_port_supported",
 ]
 
-#: worker startup allowance (first-ever compile of a big ruleset can
-#: be slow; respawns and warm starts are far under this)
-READY_TIMEOUT = 120.0
 #: per-worker allowance for a reload acknowledgement
 RELOAD_TIMEOUT = 120.0
 #: per-worker allowance for a stats round-trip
 STATS_TIMEOUT = 10.0
 
 
-class FleetError(RuntimeError):
-    """The fleet could not start, reload, or reach its workers."""
+#: The fleet could not start, reload, or reach its workers -- the
+#: shared worker handle's error under the fleet's historical name.
+FleetError = WorkerError
 
 
 def reuse_port_supported() -> bool:
@@ -88,236 +84,6 @@ def reuse_port_supported() -> bool:
     finally:
         probe.close()
     return True
-
-
-def _normalize_rules(
-    rules: Union[Iterable[str], Sequence[tuple[str, str]]]
-) -> tuple[tuple[str, str], ...]:
-    from ..compiler.pipeline import normalize_rules
-
-    return tuple(normalize_rules(rules))
-
-
-@dataclass(frozen=True)
-class MatcherSpec:
-    """A picklable recipe for building one worker's Matcher.
-
-    Workers cannot receive a live matcher (scanner state is not
-    picklable and must not be shared across processes anyway), so the
-    fleet ships the *recipe*: the normalized rules plus the compile
-    options of ``repro scan``/``serve``.  :meth:`build` is the single
-    construction path used by the parent's validation compile, every
-    worker's startup, and every reload.
-    """
-
-    rules: tuple[tuple[str, str], ...]
-    engine: Optional[str] = None
-    unfold_threshold: float = 0
-    opt_level: int = 0
-    cache_dir: Optional[str] = None
-    shards: int = 1
-
-    def build(self):
-        """Compile (or warm-start from cache) and return the matcher."""
-        from ..engine.backends import AUTO_ENGINE
-        from ..engine.parallel import ShardedMatcher
-        from ..matching import RulesetMatcher
-
-        options = dict(
-            unfold_threshold=self.unfold_threshold,
-            engine=self.engine or AUTO_ENGINE,
-            opt_level=self.opt_level,
-            cache_dir=self.cache_dir,
-        )
-        if self.shards > 1:
-            return ShardedMatcher(list(self.rules), shards=self.shards, **options)
-        return RulesetMatcher(list(self.rules), **options)
-
-
-def _cache_hit(matcher) -> bool:
-    """Did ``matcher`` warm-start entirely from the shared cache?"""
-    info = getattr(matcher, "compile_info", None)
-    if info is not None:
-        return bool(info.cache_hit)
-    infos = getattr(matcher, "compile_infos", None) or ()
-    return bool(infos) and all(info.cache_hit for info in infos)
-
-
-@dataclass(frozen=True)
-class _WorkerConfig:
-    """Per-worker serving parameters (picklable, like the spec)."""
-
-    index: int
-    host: str
-    port: int
-    engine: Optional[str]
-    queue_depth: int
-    threads: Optional[int]
-    drain_timeout: float
-    reuse_port: bool
-    generation: int
-
-
-# -- worker process --------------------------------------------------------
-def _worker_main(spec, config, conn, listen_sock=None):
-    """Process entry point: run one MatchServer until told to stop.
-
-    Module-level (not a closure) so it works under the ``spawn`` start
-    method too.  SIGHUP/SIGINT are ignored here -- the *parent* owns
-    reload and shutdown coordination, and terminal-delivered signals
-    hit the whole process group; a direct SIGTERM still drains
-    gracefully as a fallback for kill-one-worker operations.
-    """
-    import asyncio
-
-    for signum in ("SIGHUP", "SIGINT"):
-        if hasattr(signal, signum):
-            try:
-                signal.signal(getattr(signal, signum), signal.SIG_IGN)
-            except (OSError, ValueError):  # pragma: no cover - exotic env
-                pass
-    try:
-        asyncio.run(_worker_async(spec, config, conn, listen_sock))
-    except Exception as exc:  # noqa: BLE001 - reported to the parent
-        try:
-            conn.send(
-                {
-                    "event": "error",
-                    "worker": config.index,
-                    "message": f"{type(exc).__name__}: {exc}",
-                }
-            )
-        except (OSError, BrokenPipeError, ValueError):
-            pass
-        raise
-
-
-async def _worker_async(spec, config, conn, listen_sock):
-    import asyncio
-
-    from .server import MatcherHandle, MatchServer
-
-    loop = asyncio.get_running_loop()
-    matcher = spec.build()
-    handle = MatcherHandle(matcher, generation=config.generation)
-    server = MatchServer(
-        handle,
-        host=config.host,
-        port=config.port,
-        engine=config.engine,
-        queue_depth=config.queue_depth,
-        workers=config.threads,
-        drain_timeout=config.drain_timeout,
-        sock=listen_sock,
-        reuse_port=config.reuse_port,
-        worker=config.index,
-    )
-    await server.start()
-
-    mailbox: asyncio.Queue = asyncio.Queue()
-
-    def on_readable() -> None:
-        try:
-            while conn.poll():
-                mailbox.put_nowait(conn.recv())
-        except (EOFError, OSError):
-            # parent hung up: treat as an immediate stop request
-            mailbox.put_nowait({"cmd": "stop", "drain": False})
-
-    loop.add_reader(conn.fileno(), on_readable)
-    if hasattr(signal, "SIGTERM"):
-        try:
-            loop.add_signal_handler(
-                signal.SIGTERM,
-                lambda: mailbox.put_nowait({"cmd": "stop", "drain": True}),
-            )
-        except (NotImplementedError, RuntimeError):  # pragma: no cover
-            pass
-
-    conn.send(
-        {
-            "event": "ready",
-            "worker": config.index,
-            "pid": os.getpid(),
-            "port": server.port,
-            "generation": handle.generation,
-            "cache_hit": _cache_hit(matcher),
-        }
-    )
-    drain = True
-    while True:
-        message = await mailbox.get()
-        cmd = message.get("cmd")
-        if cmd == "stop":
-            drain = bool(message.get("drain", True))
-            break
-        if cmd == "stats":
-            conn.send(
-                {
-                    "event": "stats",
-                    "worker": config.index,
-                    "stats": server.stats().as_dict(),
-                }
-            )
-        elif cmd == "reload":
-            new_spec = message.get("spec") or spec
-            try:
-                generation = await server.reload(
-                    new_spec.build, generation=message.get("generation")
-                )
-            except Exception as exc:  # noqa: BLE001 - reported, not fatal:
-                # the worker keeps serving the old generation
-                conn.send(
-                    {
-                        "event": "reload_failed",
-                        "worker": config.index,
-                        "message": f"{type(exc).__name__}: {exc}",
-                    }
-                )
-            else:
-                spec = new_spec
-                conn.send(
-                    {
-                        "event": "reloaded",
-                        "worker": config.index,
-                        "generation": generation,
-                    }
-                )
-        elif cmd == "ping":
-            conn.send({"event": "pong", "worker": config.index})
-    loop.remove_reader(conn.fileno())
-    await server.stop(drain=drain)
-    try:
-        conn.send(
-            {
-                "event": "stopped",
-                "worker": config.index,
-                "stats": server.stats().as_dict(),
-            }
-        )
-    except (OSError, BrokenPipeError, ValueError):
-        pass
-
-
-# -- parent supervisor -----------------------------------------------------
-@dataclass
-class _Worker:
-    """Parent-side record of one live worker process."""
-
-    index: int
-    process: object
-    conn: object
-    pid: Optional[int] = None
-    cache_hit: bool = False
-
-
-def _stats_from_dict(payload: dict) -> ServerStats:
-    fields = {
-        key: value
-        for key, value in payload.items()
-        if key in ServerStats.__dataclass_fields__
-    }
-    return ServerStats(**fields)
 
 
 class WorkerFleet:
@@ -338,8 +104,10 @@ class WorkerFleet:
     (process count), ``threads`` (each worker's FeedPool),
     ``restart_budget`` (crash respawns before the fleet gives up),
     ``reuse_port`` (``None`` auto-detects; ``False`` forces the
-    pass-the-listener fallback), ``cache_dir`` (``None`` makes a
-    private temp cache so workers still warm-start).
+    pass-the-listener fallback).  ``**compile_options`` are the
+    :class:`MatcherSpec` fields (``engine``, ``unfold_threshold``,
+    ``opt_level``, ``cache_dir``, ``shards``); ``cache_dir=None``
+    makes a private temp cache so workers still warm-start.
     """
 
     def __init__(
@@ -349,31 +117,21 @@ class WorkerFleet:
         workers: int = 2,
         host: str = "127.0.0.1",
         port: int = 0,
-        engine: Optional[str] = None,
-        unfold_threshold: float = 0,
-        opt_level: int = 0,
-        cache_dir: Optional[str] = None,
-        shards: int = 1,
         queue_depth: int = 32,
         threads: Optional[int] = None,
         drain_timeout: float = 10.0,
         restart_budget: int = 3,
         reuse_port: Optional[bool] = None,
+        **compile_options,
     ):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self._spec = MatcherSpec(
-            rules=_normalize_rules(rules),
-            engine=engine,
-            unfold_threshold=unfold_threshold,
-            opt_level=opt_level,
-            cache_dir=cache_dir,
-            shards=shards,
+            rules=tuple(normalize_rules(rules)), **compile_options
         )
         self.workers = workers
         self.host = host
         self.port = port
-        self.engine = engine
         self.queue_depth = queue_depth
         self.threads = threads
         self.drain_timeout = drain_timeout
@@ -385,7 +143,7 @@ class WorkerFleet:
         self._reuse_requested = reuse_port
         self._reuse = False
         self._ctx = None
-        self._workers: list[_Worker] = []
+        self._workers: list[WorkerProcess] = []
         self._placeholder: Optional[socket.socket] = None
         self._listener: Optional[socket.socket] = None
         self._tmp_cache: Optional[tempfile.TemporaryDirectory] = None
@@ -465,65 +223,21 @@ class WorkerFleet:
             sock.listen(128)
             self._listener = sock
 
-    def _spawn(self, index: int) -> _Worker:
+    def _spawn(self, index: int) -> WorkerProcess:
         """Fork worker ``index`` at the current spec + generation and
         wait for its ready event.  Callers hold the lock (or are
         single-threaded start)."""
-        parent_conn, child_conn = self._ctx.Pipe()
-        config = _WorkerConfig(
+        config = WorkerConfig(
             index=index,
             host=self.host,
             port=self.port,
-            engine=self.engine,
             queue_depth=self.queue_depth,
             threads=self.threads,
             drain_timeout=self.drain_timeout,
             reuse_port=self._reuse,
             generation=self.generation,
         )
-        process = self._ctx.Process(
-            target=_worker_main,
-            args=(self._spec, config, child_conn, self._listener),
-            name=f"repro-serve-worker-{index}",
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()
-        worker = _Worker(index, process, parent_conn, pid=process.pid)
-        event = self._await_event(worker, {"ready"}, READY_TIMEOUT)
-        worker.cache_hit = bool(event.get("cache_hit"))
-        return worker
-
-    def _await_event(self, worker: _Worker, kinds: set, timeout: float) -> dict:
-        """Next event of one of ``kinds`` from ``worker`` (stray late
-        events from earlier broadcasts are dropped)."""
-        deadline = time.monotonic() + timeout
-        while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise FleetError(
-                    f"worker {worker.index} (pid {worker.pid}): no "
-                    f"{'/'.join(sorted(kinds))} event within {timeout:.0f}s"
-                )
-            try:
-                if not worker.conn.poll(min(remaining, 0.5)):
-                    if not worker.process.is_alive():
-                        raise FleetError(
-                            f"worker {worker.index} (pid {worker.pid}) died "
-                            f"(exit code {worker.process.exitcode})"
-                        )
-                    continue
-                message = worker.conn.recv()
-            except (EOFError, OSError):
-                raise FleetError(
-                    f"worker {worker.index} (pid {worker.pid}) hung up"
-                ) from None
-            if message.get("event") == "error":
-                raise FleetError(
-                    f"worker {worker.index}: {message.get('message')}"
-                )
-            if message.get("event") in kinds:
-                return message
+        return WorkerProcess(self._ctx, self._spec, config, self._listener)
 
     # -- control plane -----------------------------------------------------
     def reload(self, rules=None) -> int:
@@ -545,7 +259,9 @@ class WorkerFleet:
             if rules is None:
                 new_spec = self._spec
             else:
-                new_spec = replace(self._spec, rules=_normalize_rules(rules))
+                new_spec = replace(
+                    self._spec, rules=tuple(normalize_rules(rules))
+                )
             matcher = new_spec.build()
             skipped = list(getattr(matcher, "skipped", ()) or ())
             if rules is not None and skipped and len(skipped) >= len(
@@ -564,8 +280,8 @@ class WorkerFleet:
             for worker in self._workers:
                 worker.conn.send(payload)
             for worker in self._workers:
-                event = self._await_event(
-                    worker, {"reloaded", "reload_failed"}, RELOAD_TIMEOUT
+                event = worker.await_event(
+                    {"reloaded", "reload_failed"}, RELOAD_TIMEOUT
                 )
                 if event["event"] != "reloaded":
                     raise FleetError(
@@ -584,10 +300,10 @@ class WorkerFleet:
             for worker in self._workers:
                 try:
                     worker.conn.send({"cmd": "stats"})
-                    event = self._await_event(worker, {"stats"}, STATS_TIMEOUT)
+                    event = worker.await_event({"stats"}, STATS_TIMEOUT)
                 except (FleetError, OSError, BrokenPipeError):
                     continue  # mid-crash: the monitor will respawn it
-                snapshots.append(_stats_from_dict(event["stats"]))
+                snapshots.append(ServerStats.from_dict(event["stats"]))
             if not snapshots:
                 raise FleetError("no live workers answered STATS")
             return snapshots
@@ -634,10 +350,7 @@ class WorkerFleet:
                     if self.restarts >= self.restart_budget:
                         return  # budget exhausted: stop supervising
                     self.restarts += 1
-                    try:
-                        worker.conn.close()
-                    except OSError:
-                        pass
+                    worker.kill()  # already dead: reaps it, closes the pipe
                     try:
                         self._workers[slot] = self._spawn(worker.index)
                     except (FleetError, OSError):
@@ -653,35 +366,10 @@ class WorkerFleet:
             self._monitor.join(timeout=5.0)
             self._monitor = None
         with self._lock:
-            finals: list[ServerStats] = []
-            for worker in self._workers:
-                try:
-                    worker.conn.send({"cmd": "stop", "drain": drain})
-                except (OSError, BrokenPipeError, ValueError):
-                    pass
-            deadline = time.monotonic() + (
-                self.drain_timeout + 5.0 if drain else 5.0
+            finals = stop_workers(
+                self._workers, drain, self.drain_timeout + 5.0 if drain else 5.0
             )
-            for worker in self._workers:
-                if drain:
-                    try:
-                        event = self._await_event(
-                            worker,
-                            {"stopped"},
-                            max(0.1, deadline - time.monotonic()),
-                        )
-                        finals.append(_stats_from_dict(event["stats"]))
-                    except FleetError:
-                        pass
-                worker.process.join(max(0.1, deadline - time.monotonic()))
-                if worker.process.is_alive():
-                    worker.process.terminate()
-                    worker.process.join(5.0)
-                try:
-                    worker.conn.close()
-                except OSError:
-                    pass
-            if finals:
+            if drain and finals:
                 self.final_stats = merge_server_stats(finals)
             self._workers = []
         for sock_attr in ("_placeholder", "_listener"):

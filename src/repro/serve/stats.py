@@ -80,6 +80,14 @@ class ServerStats:
         payload["throughput_bps"] = self.throughput_bps
         return payload
 
+    @classmethod
+    def from_dict(cls, payload: dict) -> "ServerStats":
+        """Rebuild a snapshot from its :meth:`as_dict` / ``STATS`` wire
+        form (derived keys like ``throughput_bps`` are dropped)."""
+        return cls(
+            **{k: v for k, v in payload.items() if k in cls.__dataclass_fields__}
+        )
+
 
 @dataclass
 class StatsCounters:

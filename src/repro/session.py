@@ -72,6 +72,7 @@ __all__ = [
     "MatchSession",
     "SessionPart",
     "Matcher",
+    "SessionScans",
     "MultiStreamScanner",
     "CollectorSink",
     "QueueSink",
@@ -345,15 +346,7 @@ class MatchSession:
                 "feed() after finish(); open a new session to scan again"
             )
         chunk = coerce_chunk(chunk)
-        tag = self.stream
-        out: list[Match] = []
-        for part in self._parts:
-            gate = part.end_anchored
-            for position, code in part.scanner.feed(chunk):
-                rule = code if code is not None else UNNAMED_REPORT
-                if rule in gate:
-                    continue  # only reportable once the stream length is known
-                out.append(Match(rule, position, tag, code))
+        out = self._feed_shards(chunk)
         self._bytes += len(chunk)
         return self._emit(out)
 
@@ -366,18 +359,8 @@ class MatchSession:
         """
         if self._finished:
             return []
+        out = self._finish_shards()
         self._finished = True
-        tag = self.stream
-        n = self._bytes
-        out: list[Match] = []
-        for part in self._parts:
-            gate = part.end_anchored
-            for position, code in part.scanner.finish():
-                if position != n:
-                    continue
-                rule = code if code is not None else UNNAMED_REPORT
-                if rule in gate:
-                    out.append(Match(rule, position, tag, code))
         return self._emit(out)
 
     def matches(self, chunks: Iterable[Chunk]) -> Iterator[Match]:
@@ -395,21 +378,56 @@ class MatchSession:
         if not self._finished:
             self.finish()
         if self._result is None:
-            if any(part.finalize is None for part in self._parts):
-                raise RuntimeError(
-                    "this session is event-only (no ScanResult finalizer)"
-                )
-            results = [
+            self._result = self._merge_result()
+        return self._result
+
+    # -- the shard-touching hooks ------------------------------------------
+    # Everything above is transport-blind; these three are the only
+    # places a session touches its shards.  The defaults drive local
+    # backend scanners; the cluster session overrides exactly these to
+    # go over the wire instead.
+    def _feed_shards(self, chunk: bytes) -> list[Match]:
+        """Run ``chunk`` through every shard; the new matches, unsorted."""
+        tag = self.stream
+        out: list[Match] = []
+        for part in self._parts:
+            gate = part.end_anchored
+            for position, code in part.scanner.feed(chunk):
+                rule = code if code is not None else UNNAMED_REPORT
+                if rule in gate:
+                    continue  # only reportable once the stream length is known
+                out.append(Match(rule, position, tag, code))
+        return out
+
+    def _finish_shards(self) -> list[Match]:
+        """End the stream on every shard; the matches that unlocks."""
+        tag = self.stream
+        n = self._bytes
+        out: list[Match] = []
+        for part in self._parts:
+            gate = part.end_anchored
+            for position, code in part.scanner.finish():
+                if position != n:
+                    continue
+                rule = code if code is not None else UNNAMED_REPORT
+                if rule in gate:
+                    out.append(Match(rule, position, tag, code))
+        return out
+
+    def _merge_result(self) -> "ScanResult":
+        """One :class:`~repro.matching.ScanResult` across all shards."""
+        from .engine.parallel import merge_scan_results
+
+        if any(part.finalize is None for part in self._parts):
+            raise RuntimeError(
+                "this session is event-only (no ScanResult finalizer)"
+            )
+        return merge_scan_results(
+            [
                 part.finalize(part.scanner.reports, self._bytes, part.scanner.stats)
                 for part in self._parts
             ]
-            if len(results) == 1:
-                self._result = results[0]
-            else:
-                from .engine.parallel import merge_scan_results
-
-                self._result = merge_scan_results(results)
-        return self._result
+        )
 
 
 # -- the matcher protocol --------------------------------------------------
@@ -456,6 +474,58 @@ class Matcher(Protocol):
     ) -> list["ScanResult"]: ...
 
     def matched_rules(self, data: Chunk) -> set[str]: ...
+
+
+class SessionScans:
+    """The batch entry points, written once over :meth:`session`.
+
+    Every :class:`Matcher` implementation inherits these, so a batch
+    scan and a hand-driven session are one code path whatever the
+    backing -- one compiled network, in-process shards, or a cluster.
+    """
+
+    def scan(self, data: Chunk, engine: Optional[str] = None) -> "ScanResult":
+        """Run one in-memory buffer through the matcher.
+
+        ``engine`` overrides the matcher's default (any registered
+        backend name, or ``"auto"``); results are identical on every
+        backend.  Equivalent to a one-chunk :meth:`session`.
+        """
+        return self.scan_stream((data,), engine=engine)
+
+    def scan_stream(
+        self, chunks: Iterable[Chunk], engine: Optional[str] = None
+    ) -> "ScanResult":
+        """Scan a stream delivered as an iterable of chunks (consumed
+        exactly once).
+
+        Enable vectors, counters, and bit-vector registers carry across
+        chunk boundaries, so the result equals :meth:`scan` of the
+        concatenated stream (``$`` gating included -- it is applied
+        after the last chunk, when the stream length is known).  A thin
+        wrapper over :meth:`session`; use the session directly when the
+        per-chunk :class:`Match` events matter.
+        """
+        with self.session(engine=engine) as session:
+            for chunk in chunks:
+                session.feed(chunk)
+        return session.result()
+
+    def scan_many(
+        self,
+        streams: Sequence[Chunk],
+        processes: Optional[int] = None,
+        engine: Optional[str] = None,
+    ) -> list["ScanResult"]:
+        """Scan a batch of independent streams serially, one result
+        each (``processes`` is the protocol's parallelism hint; local
+        matchers override this to honour it)."""
+        del processes
+        return [self.scan(stream, engine=engine) for stream in streams]
+
+    def matched_rules(self, data: Chunk) -> set[str]:
+        """Convenience: just the ids of rules that matched."""
+        return self.scan(data).matched_rules()
 
 
 # -- multi-stream serving --------------------------------------------------

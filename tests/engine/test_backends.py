@@ -56,12 +56,15 @@ class TestRegistry:
         assert names[:3] == ["stream", "block", "reference"]
 
     def test_aliases_resolve(self):
-        assert get_backend("table") is get_backend("stream")
+        # no built-in keeps an alias (the historical "table" spelling is
+        # gone); third-party aliases: test_third_party_registration
+        with pytest.raises(ValueError, match="available engines"):
+            get_backend("table")
 
     def test_engine_choices_cover_auto_names_aliases(self):
         choices = engine_choices()
         assert choices[0] == "auto"
-        for name in ("stream", "block", "reference", "table"):
+        for name in ("stream", "block", "reference"):
             assert name in choices
 
     def test_unknown_name_error_lists_engines(self):
@@ -407,7 +410,7 @@ class TestFacadeEngineSelection:
         )
         data = b"zabc xaaaa abcbc"
         want = matcher.scan(data, engine="reference")
-        engines = ["auto", "stream", "table"]
+        engines = ["auto", "stream"]
         if block_engine.numpy_or_none() is not None:
             engines.append("block")
         for engine in engines:
@@ -419,12 +422,6 @@ class TestFacadeEngineSelection:
         assert matcher.scan_stream([b"ab", b"c"]).matches == {"lit": [3]}
         # the session wraps a scanner from the matcher's default backend
         assert type(matcher.session().scanners[0]).__name__ == "ReferenceScanner"
-
-    def test_stream_scanner_deprecated_but_working(self):
-        matcher = RulesetMatcher([("lit", r"abc")], engine="reference")
-        with pytest.deprecated_call():
-            scanner = matcher.stream_scanner()
-        assert type(scanner).__name__ == "ReferenceScanner"
 
     def test_scan_many_ships_engine_choice(self):
         matcher = RulesetMatcher(MODULE_FREE_RULES)

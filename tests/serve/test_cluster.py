@@ -12,14 +12,22 @@ byte-offset RST via FaultProxy, or an outright ``kill_shard``) must
 surface as :class:`ClusterPartialResultError` naming the shard, the
 affected streams, and the matches already delivered -- never a hang,
 never silently dropped matches.
+
+The shard-server half runs in both :class:`LocalShardCluster` modes --
+servers on a private loop in this process, and one forked
+:class:`~repro.serve.worker.WorkerProcess` per shard (the shape
+``repro cluster`` and the benchmark use).
 """
+
+import multiprocessing
+import socket
 
 import pytest
 
 from repro import (
     ClusterPartialResultError,
-    ClusterSpec,
     LocalShardCluster,
+    MatchSession,
     MultiStreamScanner,
     RemoteShardedMatcher,
     RulesetMatcher,
@@ -27,12 +35,16 @@ from repro import (
     available_backends,
 )
 from repro.compiler.pipeline import dedupe_rules
-from repro.engine.parallel import shard_rules
+from repro.engine.parallel import mp_context, shard_rules
 from repro.serve.cluster import parse_endpoint
 from tests.serve.chaoss import Fault, FaultProxy
 from tests.serve.test_server import RULES, offline_events, traffic_for
 
 ENGINES = [info.name for info in available_backends() if info.available]
+
+#: LocalShardCluster(processes=...) legs: forked shard processes are
+#: only a distinct mode where multiprocessing exists
+PROCESS_MODES = [False, True] if mp_context() is not None else [False]
 
 STREAM_COUNT = 64
 
@@ -87,8 +99,13 @@ class _Proxies:
 
 # -- the differential ------------------------------------------------------
 class TestClusterDifferential:
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_three_shards_equal_offline_on_64_streams(self, engine):
+    @pytest.mark.parametrize(
+        "engine,processes",
+        [(engine, False) for engine in ENGINES]
+        # forked shard processes: one engine is enough
+        + [(ENGINES[0], processes) for processes in PROCESS_MODES[1:]],
+    )
+    def test_three_shards_equal_offline_on_64_streams(self, engine, processes):
         """64 interleaved streams through 3 network shards (behind TCP
         interposers) == one offline scanner, event for event."""
         pairs = interleaved_pairs()
@@ -97,7 +114,10 @@ class TestClusterDifferential:
             RulesetMatcher(RULES), engine=engine
         ).scan_tagged(pairs)
 
-        with LocalShardCluster(RULES, shards=3, engine=engine) as cluster:
+        with LocalShardCluster(
+            RULES, shards=3, engine=engine, processes=processes
+        ) as cluster:
+            assert cluster.mode == ("processes" if processes else "in-process")
             with _Proxies(cluster.addresses) as endpoints:
                 with RemoteShardedMatcher(endpoints) as remote:
                     events, results = remote_events(remote, pairs)
@@ -180,37 +200,41 @@ class TestShardFailure:
 
     def test_killed_shard_yields_partial_result_error(self):
         """kill_shard (no proxy, no drain) mid-session: same error
-        surface as a network fault."""
-        with LocalShardCluster(RULES, shards=3) as cluster:
-            with RemoteShardedMatcher(cluster.addresses) as remote:
-                session = remote.session(stream="victim")
-                assert [(m.rule, m.end) for m in session.feed(b"zabc")] == [
-                    ("hit", 4)
-                ]
-                cluster.kill_shard(2)
-                with pytest.raises(ClusterPartialResultError) as excinfo:
-                    for _ in range(50):  # the RST may take a beat to land
-                        session.feed(b"12345")
-        err = excinfo.value
-        assert err.shard == 2
-        assert "victim" in err.streams
-        delivered = [(m.rule, m.end) for m in err.delivered["victim"]]
-        assert delivered[0] == ("hit", 4)
+        surface as a network fault, whether the shard was a server on
+        the private loop or a forked worker process."""
+        for processes in PROCESS_MODES:
+            with LocalShardCluster(RULES, shards=3, processes=processes) as cluster:
+                with RemoteShardedMatcher(cluster.addresses) as remote:
+                    session = remote.session(stream="victim")
+                    assert [(m.rule, m.end) for m in session.feed(b"zabc")] == [
+                        ("hit", 4)
+                    ]
+                    cluster.kill_shard(2)
+                    with pytest.raises(ClusterPartialResultError) as excinfo:
+                        for _ in range(50):  # the RST may take a beat to land
+                            session.feed(b"12345")
+            err = excinfo.value
+            assert err.shard == 2
+            assert "victim" in err.streams
+            delivered = [(m.rule, m.end) for m in err.delivered["victim"]]
+            assert delivered[0] == ("hit", 4)
 
     def test_restart_and_reattach_recovers(self):
         """A restarted shard (new ephemeral port) plus reattach()
-        restores full service for sessions opened afterwards."""
-        with LocalShardCluster(RULES, shards=3) as cluster:
-            with RemoteShardedMatcher(cluster.addresses) as remote:
-                before = remote.scan(b"zabc 123")
-                cluster.kill_shard(0)
-                with pytest.raises(RuntimeError, match="still running"):
-                    cluster.restart_shard(1)
-                address = cluster.restart_shard(0)
-                remote.reattach(0, address=address, retries=5)
-                after = remote.scan(b"zabc 123")
-                assert after.matches == before.matches
-                assert after.bytes_scanned == before.bytes_scanned
+        restores full service for sessions opened afterwards (both
+        shard-server modes)."""
+        for processes in PROCESS_MODES:
+            with LocalShardCluster(RULES, shards=3, processes=processes) as cluster:
+                with RemoteShardedMatcher(cluster.addresses) as remote:
+                    before = remote.scan(b"zabc 123")
+                    cluster.kill_shard(0)
+                    with pytest.raises(RuntimeError, match="still running"):
+                        cluster.restart_shard(1)
+                    address = cluster.restart_shard(0)
+                    remote.reattach(0, address=address, retries=5)
+                    after = remote.scan(b"zabc 123")
+                    assert after.matches == before.matches
+                    assert after.bytes_scanned == before.bytes_scanned
 
 
 # -- session semantics -----------------------------------------------------
@@ -219,6 +243,7 @@ class TestClusterSession:
         with LocalShardCluster(RULES, shards=2) as cluster:
             with RemoteShardedMatcher(cluster.addresses) as remote:
                 sunk = []
+                assert isinstance(remote.session(), MatchSession)
                 with remote.session(stream="tag", on_match=sunk.append) as s:
                     new = s.feed(b"zabc")
                     assert [(m.rule, m.end, m.stream) for m in new] == [
@@ -254,7 +279,7 @@ class TestClusterSession:
                 assert len(session.summaries()) == 2
 
 
-# -- construction, spec, stats ---------------------------------------------
+# -- construction, stats ---------------------------------------------------
 class TestClusterConstruction:
     def test_empty_shard_list_rejected(self):
         with pytest.raises(ValueError, match="at least one shard"):
@@ -268,42 +293,44 @@ class TestClusterConstruction:
         with pytest.raises(ValueError):
             parse_endpoint("host:notaport")
 
-    def test_spec_round_trip(self):
-        spec = ClusterSpec.spawn(RULES, shards=2)
-        assert spec.mode == "spawn"
-        with pytest.raises(ValueError, match="connect\\(\\) is for attach"):
-            spec.connect()
-        cluster = spec.start()
-        try:
-            attach = ClusterSpec.attach(
-                [f"{host}:{port}" for host, port in cluster.addresses]
-            )
-            assert attach.mode == "attach"
-            with pytest.raises(ValueError, match="start\\(\\) is for spawn"):
-                attach.start()
-            with attach.connect(retries=2) as remote:
-                assert remote.scan(b"zabc").matches == {"hit": [4]}
-        finally:
-            cluster.stop()
-
     def test_spawn_rejects_zero_shards(self):
         with pytest.raises(ValueError, match="shards must be >= 1"):
-            ClusterSpec.spawn(RULES, shards=0)
+            LocalShardCluster(RULES, shards=0)
 
-    def test_attach_rejects_empty(self):
-        with pytest.raises(ValueError, match="at least one"):
-            ClusterSpec.attach([])
+    @pytest.mark.skipif(mp_context() is None, reason="no multiprocessing")
+    @pytest.mark.parametrize("taken", [0, 1])
+    def test_failed_shard_process_raises_and_leaves_nothing(self, taken):
+        """A shard child that cannot bind its fixed port fails start()
+        with the child's own bind error -- no silent in-process retry --
+        and whatever had already started is reaped."""
+        with socket.socket() as holder, socket.socket() as probe:
+            holder.bind(("127.0.0.1", 0))
+            holder.listen(1)
+            probe.bind(("127.0.0.1", 0))
+            ports = [probe.getsockname()[1]] * 2
+            ports[taken] = holder.getsockname()[1]
+            probe.close()
+            before = set(multiprocessing.active_children())
+            cluster = LocalShardCluster(
+                RULES, shards=2, processes=True, ports=ports
+            )
+            with pytest.raises(RuntimeError, match=r"(?i)address already in use"):
+                cluster.start()
+        assert cluster.mode is None
+        assert cluster.addresses == []
+        assert set(multiprocessing.active_children()) == before
 
     def test_stats_span_every_shard(self):
-        with LocalShardCluster(RULES, shards=3) as cluster:
-            with RemoteShardedMatcher(cluster.addresses) as remote:
-                remote.ping()
-                remote.scan(b"zabc")
-                per_shard = remote.shard_stats()
-                assert len(per_shard) == 3
-                merged = remote.stats()
-                assert merged.workers == 3
-                # every shard carried the fanned-out stream
-                assert all(s.streams_total >= 1 for s in per_shard)
-                assert remote.engine == "remote"
-                assert remote.skipped == []
+        for processes in PROCESS_MODES:
+            with LocalShardCluster(RULES, shards=3, processes=processes) as cluster:
+                with RemoteShardedMatcher(cluster.addresses) as remote:
+                    remote.ping()
+                    remote.scan(b"zabc")
+                    per_shard = remote.shard_stats()
+                    assert len(per_shard) == 3
+                    merged = remote.stats()
+                    assert merged.workers == 3
+                    # every shard carried the fanned-out stream
+                    assert all(s.streams_total >= 1 for s in per_shard)
+                    assert remote.engine == "remote"
+                    assert remote.skipped == []

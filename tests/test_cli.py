@@ -122,7 +122,7 @@ class TestScan:
         args = ["scan", "--rules", str(rules), "--input", str(data)]
         usable = {i.name for i in available_backends() if i.available}
         for engine in engine_choices():
-            if engine not in usable | {"auto", "table"}:
+            if engine not in usable | {"auto"}:
                 continue  # e.g. block without numpy
             assert main(args + ["--engine", engine]) == 0, engine
             assert "hit: 1 match(es) at [5]" in capsys.readouterr().out

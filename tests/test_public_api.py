@@ -65,7 +65,7 @@ EXPECTED_ALL = sorted(
         "MatchServer", "MatcherHandle", "MatchClient", "ServerStats",
         "WorkerFleet", "merge_server_stats", "scan_tagged_remote",
         # cluster scatter-gather
-        "RemoteShardedMatcher", "LocalShardCluster", "ClusterSpec",
+        "RemoteShardedMatcher", "LocalShardCluster",
         "ClusterPartialResultError",
     ]
 )
