@@ -8,20 +8,22 @@ protocol, a process-wide registry, and three built-in strategies:
 ======================  =====================================================
 ``"stream"``            scalar bitmask interpreter; stdlib-only,
                         always available, exact stats
-``"block"``             NumPy vectorized block sweeps; optional dependency,
-                        fastest on module-free (STE-only) rulesets,
-                        exact stats
+``"block"``             NumPy vectorized block sweeps (STE, counter and
+                        bit-vector activity in-lane); optional
+                        dependency, exact stats
 ``"reference"``         node-by-node cycle-accurate simulator; the
                         executable spec the others are tested against
 ======================  =====================================================
 
 ``engine="auto"`` resolves to the highest-priority available backend
-that applies to the tables at hand (block for module-free acyclic
-rulesets when NumPy imports, stream otherwise; reference is never
-auto-picked).  New backends -- a hardware-cost-model-guided
-dispatcher, a native extension, ... -- plug in via
-:func:`register_backend` and every consumer (facade, sharded/batch
-front-ends, CLI) picks them up by name.
+that applies to the tables at hand.  For the built-ins that is one
+rule: NumPy imports **and** the block scanner's static sweep analysis
+accepts the tables (:meth:`repro.engine.block.BlockScanner.can_sweep`
+-- module-free or module-bearing alike) -> ``"block"``; otherwise
+``"stream"``; ``"reference"`` is never auto-picked.  New backends -- a
+hardware-cost-model-guided dispatcher, a native extension, ... -- plug
+in via :func:`register_backend` and every consumer (facade,
+sharded/batch front-ends, CLI) picks them up by name.
 """
 
 from .base import Backend, BackendInfo, BackendUnavailable

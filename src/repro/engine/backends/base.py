@@ -56,7 +56,6 @@ class BackendInfo:
     """Introspection snapshot of one registered backend."""
 
     name: str
-    aliases: tuple[str, ...]
     description: str
     #: importable/usable in this process right now?
     available: bool
@@ -71,10 +70,8 @@ class BackendInfo:
 class Backend(ABC):
     """One execution strategy over compiled transition tables."""
 
-    #: canonical registry name (``matcher.scan(engine=<name>)``)
+    #: registry name (``matcher.scan(engine=<name>)``)
     name: str = ""
-    #: accepted alternate names (kept for backwards compatibility)
-    aliases: tuple[str, ...] = ()
     #: one-line capability summary for docs/CLI
     description: str = ""
     #: ActivityStats identical to the reference simulator?
@@ -111,7 +108,6 @@ class Backend(ABC):
         available, reason = self.availability()
         return BackendInfo(
             name=self.name,
-            aliases=self.aliases,
             description=self.description,
             available=available,
             unavailable_reason=reason,

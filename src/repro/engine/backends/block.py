@@ -5,16 +5,13 @@ gated on the optional NumPy dependency -- when the import fails the
 registry reports the backend unavailable with the import error as the
 reason, and ``engine="auto"`` quietly degrades to ``"stream"``.
 
-The backend applies to *every* network (module-bearing blocks that
-defeat in-lane execution replay through the embedded scalar
-interpreter), and ``auto`` prefers it wherever sweeps actually pay
-off: module-free tables whose STE graph is acyclic up to self-loops
--- the Snort/Suricata-style common case -- and module-bearing tables
-whose combined STE+module graph admits in-sweep closed-form module
-execution (``{n,m}`` bounded repeats, gap rules).  Only tables with
-genuine feedback cycles (nested counting, multi-STE counter bodies)
-rank below ``"stream"``, because there every sweep risks a scalar
-replay.
+The backend applies to *every* network: tables the block scanner's
+static sweep analysis rejects (nested counting, multi-STE counter
+bodies, STE cycles longer than a self-loop) run on its embedded scalar
+interpreter.  ``auto`` asks that same analysis and nothing else --
+accepted tables (STE-only or module-bearing alike) outrank
+``"stream"``, rejected ones are never auto-picked; the rule is stated
+in :mod:`repro.engine.backends`.
 """
 
 from __future__ import annotations
@@ -30,11 +27,10 @@ __all__ = ["BlockBackend"]
 
 class BlockBackend(Backend):
     name = "block"
-    aliases = ()
     description = (
         "NumPy bit-parallel block scanner (vector sweeps with in-lane "
-        "counter/bit-vector execution, scalar replay only around "
-        "genuinely cyclic module wiring)"
+        "counter/bit-vector execution; tables the sweep analysis "
+        "rejects run on the embedded scalar interpreter)"
     )
     stats_exact = True
     streaming = True
@@ -45,16 +41,8 @@ class BlockBackend(Backend):
         return True, None
 
     def auto_priority(self, tables: TransitionTables) -> Optional[int]:
-        # building the program also answers acyclicity; it is cached
-        # per tables object, so this is free after the first ask
-        program = block_engine._program_for(tables)
-        if program.pure:
-            return 30 if program.vector_ok else None
-        if program.full_ok:
-            # modules run inside the sweep: every block commits
-            return 25
-        # optimistic sweeps risk scalar replays; let "stream" win
-        return None
+        # the verdict is cached per tables object: free after the first ask
+        return 30 if block_engine.BlockScanner.can_sweep(tables) else None
 
     def make_scanner(self, tables: TransitionTables) -> "block_engine.BlockScanner":
         return block_engine.BlockScanner(tables)

@@ -88,7 +88,6 @@ class ReferenceScanner:
 
 class ReferenceBackend(Backend):
     name = "reference"
-    aliases = ()
     description = (
         "cycle-accurate node-by-node simulator (the executable "
         "specification; slow, for validation)"

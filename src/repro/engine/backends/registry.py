@@ -32,43 +32,34 @@ __all__ = [
 AUTO_ENGINE = "auto"
 
 _BACKENDS: dict[str, Backend] = {}
-_ALIASES: dict[str, str] = {}
 
 
 def register_backend(backend: Backend, replace: bool = False) -> Backend:
-    """Register ``backend`` under its name and aliases.
+    """Register ``backend`` under its name.
 
-    Re-registering an existing name (or an alias clashing with one)
-    raises unless ``replace`` is True.  Returns the backend, so the
-    call composes as a decorator-style one-liner.
+    Re-registering an existing name raises unless ``replace`` is True.
+    Returns the backend, so the call composes as a decorator-style
+    one-liner.
     """
-    names = (backend.name, *backend.aliases)
     if not backend.name:
         raise ValueError("backend must declare a non-empty name")
-    for name in names:
-        if name == AUTO_ENGINE:
-            raise ValueError(f"{AUTO_ENGINE!r} is reserved for automatic selection")
-        taken = name in _BACKENDS or name in _ALIASES
-        if taken and not replace:
-            raise ValueError(f"backend name {name!r} already registered")
-    for alias in list(_ALIASES):
-        if _ALIASES[alias] == backend.name:
-            del _ALIASES[alias]
+    if backend.name == AUTO_ENGINE:
+        raise ValueError(f"{AUTO_ENGINE!r} is reserved for automatic selection")
+    if backend.name in _BACKENDS and not replace:
+        raise ValueError(f"backend name {backend.name!r} already registered")
     _BACKENDS[backend.name] = backend
-    for alias in backend.aliases:
-        _ALIASES[alias] = backend.name
     return backend
 
 
 def backend_names() -> list[str]:
-    """Canonical names of all registered backends, registration order."""
+    """Names of all registered backends, registration order."""
     return list(_BACKENDS)
 
 
 def engine_choices() -> list[str]:
-    """Every accepted engine spelling: ``auto``, names, then aliases
-    (what the CLI ``--engine`` flag and the facade accept)."""
-    return [AUTO_ENGINE, *_BACKENDS, *_ALIASES]
+    """Every accepted engine spelling: ``auto``, then the registered
+    names (what the CLI ``--engine`` flag and the facade accept)."""
+    return [AUTO_ENGINE, *_BACKENDS]
 
 
 def available_backends() -> list[BackendInfo]:
@@ -91,17 +82,13 @@ def unknown_engine_error(name: object) -> ValueError:
 
 
 def get_backend(name: str) -> Backend:
-    """Look up a backend by canonical name or alias.
+    """Look up a backend by name.
 
     Raises the shared unknown-engine :class:`ValueError` for names that
     are not registered (``"auto"`` included -- it is not a backend; use
     :func:`resolve_backend` to let it pick one).
     """
     backend = _BACKENDS.get(name)
-    if backend is None:
-        canonical = _ALIASES.get(name)
-        if canonical is not None:
-            backend = _BACKENDS.get(canonical)
     if backend is None:
         raise unknown_engine_error(name)
     return backend
@@ -115,9 +102,9 @@ def resolve_backend(
     ``"auto"`` picks the available backend with the highest
     :meth:`~repro.engine.backends.base.Backend.auto_priority` for the
     tables (falling back over backends that decline).  Explicit names
-    resolve through aliases and then insist the backend is available
-    and applicable, raising :class:`BackendUnavailable` (a
-    ``ValueError``) with the reason otherwise.
+    insist the backend is available and applicable, raising
+    :class:`BackendUnavailable` (a ``ValueError``) with the reason
+    otherwise.
 
     >>> from repro import resolve_backend
     >>> resolve_backend("stream").name
@@ -161,7 +148,7 @@ def resolve_backend(
 
 
 def validated_backend_names(tables: TransitionTables) -> list[str]:
-    """Backends (canonical names) that are available *and* applicable
+    """Names of the backends that are available *and* applicable
     to ``tables`` right now -- what compiled-ruleset cache artifacts
     record as the set the tables were validated against."""
     return [

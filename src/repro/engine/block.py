@@ -12,9 +12,8 @@ block with NumPy boolean lanes.
 
 How a block is scanned
 ----------------------
-For a network whose per-cycle activity is STE-only, STE ``v``'s
-occupancy over a block is a boolean lane ``occ[v]`` (one element per
-input position) satisfying::
+STE ``v``'s occupancy over a block is a boolean lane ``occ[v]`` (one
+element per input position) satisfying::
 
     occ[v][t] = memb[v][t] and (always[v]
                                 or occ[u][t-1] for some predecessor u
@@ -30,9 +29,7 @@ the asymptotic win over the scalar interpreter comes from.  Self-loop
 STEs (``a+``/``a*`` tails) stay vectorizable through the run-length
 closed form: the self-loop holds at ``t`` iff some enable arrived
 inside the current unbroken symbol run, i.e. ``last_enable_index >=
-run_start_index``, both one ``np.maximum.accumulate`` away.  Networks
-with longer feedback cycles fall back to the scalar interpreter
-outright (``vector_ok`` is False).
+run_start_index``, both one ``np.maximum.accumulate`` away.
 
 Stats and reports are exact, not approximate: activations are
 ``count_nonzero`` per occupancy lane, report events are the nonzero
@@ -41,32 +38,30 @@ positions of reporting STEs' lanes, so the backend meets the same
 
 Counter / bit-vector modules
 ----------------------------
-Module activity runs *inside* the sweep whenever the combined
-STE+module dependency graph is acyclic after
+Module activity runs *inside* the same sweep:
 :mod:`repro.engine.block_modules` collapses the emitted one-STE
 feedback loops (``en_fst`` re-arming a counter body, ``en_body``
 holding a bit-vector body STE) into closed-form nodes: counter
 registers become prefix sums over ``fst`` lanes, bit-vector shift
 registers become windowed existence queries over entry lanes, and the
 carried scalar state (registers, latched ``pre``, dirty set) is
-written back at every block boundary.  Such blocks always commit --
-no rescans -- and reports/stats stay exactly equal to the
-interpreter's.
+written back at every block boundary.  Every block commits, and
+reports/stats stay exactly equal to the interpreter's.
 
-Tables whose module wiring genuinely cycles (nested counting,
-multi-STE counter bodies) fall back to the *optimistic* strategy:
-module side effects can only begin at an STE that drives a module
-port (``ste_module_hooks``), and those STEs' occupancy lanes are
-computed by the sweep anyway.  If no hook STE fired in the block and
-every module was at rest when it started, the vector result is
-committed; otherwise the block is rescanned by the embedded scalar
-:class:`StreamScanner`, which owns all module state.  A streak of
-consecutive aborted sweeps (no commit in between) disables further
-vector attempts; the disable *decays* -- after enough consecutive
-module-quiescent scalar blocks the scanner re-arms sweeps, so a
-module-dense burst does not condemn the rest of the stream to scalar
-speed.  :attr:`BlockScanner.sweep_stats` surfaces the commit/rescan/
-re-enable counters.
+One static verdict
+------------------
+Like the paper's compiler choosing counter / bit vector / unfolding
+per occurrence, the strategy is decided once per tables object, at
+program build, and never revisited at run time:
+:func:`block_modules.analyze` orders STEs and modules into one acyclic
+step list (an STE-only table is simply the module-free case of it), or
+rejects the tables -- nested counting, multi-STE counter bodies, STE
+cycles longer than a self-loop.  Accepted tables run every block
+through :meth:`BlockScanner._sweep`; rejected tables are fed whole to
+the embedded :class:`StreamScanner`.  :meth:`BlockScanner.can_sweep`
+exposes the verdict (it is the whole ``engine="auto"`` rule for this
+backend) and :attr:`BlockScanner.sweep_stats` the committed-block
+count.
 
 NumPy is an optional dependency: importing this module never raises,
 and :func:`numpy_or_none` reports what the backend registry should say
@@ -105,16 +100,6 @@ __all__ = [
 #: call overhead, small enough that occupancy lanes stay cache-resident.
 DEFAULT_BLOCK_SIZE = 16384
 
-#: Consecutive vector sweeps discarded (module activity detected, no
-#: commit in between) before BlockScanner stops attempting sweeps.
-#: Only reachable on tables whose module wiring defeats in-sweep
-#: execution (``full_ok`` False).
-_RESCAN_LIMIT = 8
-
-#: Consecutive module-quiescent scalar blocks consumed while sweeps
-#: are disabled before the scanner re-arms vector sweeping.
-_REENABLE_AFTER = 4
-
 
 def numpy_or_none():
     """The ``numpy`` module, or ``None`` when it cannot be imported."""
@@ -129,26 +114,22 @@ def numpy_unavailable_reason() -> Optional[str]:
 
 
 class _BlockProgram:
-    """Per-tables derived arrays shared by every :class:`BlockScanner`.
+    """Per-tables sweep verdict and derived arrays, shared by every
+    :class:`BlockScanner` over the same tables via :func:`_program_for`.
 
-    Building the STE graph and the class-row matrix is O(STEs + edges);
-    scanners over the same tables share one program via
-    :func:`_program_for`.
+    ``sweep_ok`` is the one verdict: :func:`block_modules.analyze`
+    ordered STEs and modules into ``steps``, or rejected the tables
+    (then nothing else is built -- the interpreter runs them).
     """
 
     __slots__ = (
-        "vector_ok",
-        "pure",
-        "full_ok",
-        "topo",
+        "sweep_ok",
         "preds",
         "succ_lists",
         "has_self",
         "always_flag",
         "start_flag",
         "report_flag",
-        "hook_flag",
-        "always_list",
         "always_eff_flag",
         "always_eff_list",
         "start_list",
@@ -180,23 +161,6 @@ class _BlockProgram:
                 else:
                     preds[j].append(i)
                     succ_lists[i].append(j)
-
-        # Kahn topological order, self-loops excluded (they have a
-        # vectorized closed form); any longer cycle makes the block
-        # recurrence order-dependent and forces the scalar path.
-        indegree = [len(p) for p in preds]
-        queue = [i for i in range(n) if indegree[i] == 0]
-        topo: list[int] = []
-        while queue:
-            v = queue.pop()
-            topo.append(v)
-            for w in succ_lists[v]:
-                indegree[w] -= 1
-                if indegree[w] == 0:
-                    queue.append(w)
-        self.vector_ok = len(topo) == n and tables.const_enable_mask == 0
-        self.pure = tables.n_modules == 0
-        self.topo = topo
         self.preds = preds
         self.succ_lists = succ_lists
         self.has_self = has_self
@@ -204,8 +168,6 @@ class _BlockProgram:
         self.always_flag = _mask_flags(tables.always_mask, n)
         self.start_flag = _mask_flags(tables.start_mask, n)
         self.report_flag = _mask_flags(tables.report_ste_mask, n)
-        self.hook_flag = [hooks is not None for hooks in tables.ste_module_hooks]
-        self.always_list = [i for i in range(n) if self.always_flag[i]]
         self.start_list = [i for i in range(n) if self.start_flag[i]]
 
         # STEs the interpreter enables every cycle regardless of
@@ -218,32 +180,23 @@ class _BlockProgram:
         ]
         self.always_eff_list = [i for i in range(n) if self.always_eff_flag[i]]
 
-        # In-sweep module execution: collapse emitted feedback loops
-        # and demand a combined acyclic order (see block_modules).
-        if tables.n_modules == 0:
-            self.full_ok = self.vector_ok
-            self.mod_plans = None
-            self.steps = None
-            self.mod_preds = None
-        else:
-            mod_program = block_modules.analyze(
-                tables,
-                preds,
-                succ_lists,
-                has_self,
-                self.always_eff_flag,
-                self.start_flag,
-            )
-            if mod_program is None:
-                self.full_ok = False
-                self.mod_plans = None
-                self.steps = None
-                self.mod_preds = None
-            else:
-                self.full_ok = True
-                self.mod_plans = mod_program.plans
-                self.steps = mod_program.steps
-                self.mod_preds = mod_program.mod_preds
+        # the static verdict: collapse emitted module feedback loops and
+        # demand one acyclic STE+module order (self-loops excluded, they
+        # have a closed form); see block_modules
+        mod_program = block_modules.analyze(
+            tables,
+            preds,
+            succ_lists,
+            has_self,
+            self.always_eff_flag,
+            self.start_flag,
+        )
+        self.sweep_ok = mod_program is not None
+        if mod_program is None:
+            return
+        self.mod_plans = mod_program.plans
+        self.steps = mod_program.steps
+        self.mod_preds = mod_program.mod_preds
 
         # one bool row of n_classes per distinct symbol set; STEs with
         # identical symbol sets (all copies of an unfolded run) share a
@@ -290,23 +243,19 @@ def _program_for(tables: TransitionTables) -> _BlockProgram:
 
 @dataclass(frozen=True)
 class BlockSweepStats:
-    """Sweep bookkeeping for one :class:`BlockScanner` stream.
+    """Sweep bookkeeping for one :class:`BlockScanner` stream."""
 
-    Makes claims like "this workload ran with zero scalar rescans"
-    directly assertable instead of inferred from private attributes.
-    """
-
-    #: vector sweeps committed (pure or in-lane module blocks)
+    #: blocks run (and committed) by the vector sweep
     committed_blocks: int
-    #: sweeps discarded and replayed through the scalar interpreter
-    rescans: int
-    #: times the vector-disable streak decayed and sweeps re-armed
-    reenables: int
-    #: currently feeding scalar because of a rescan streak?
-    sweeps_disabled: bool
-    #: module activity runs inside sweeps on these tables (no-op True
-    #: for module-free tables; False means the optimistic/rescan path)
+    #: these tables run in the sweep -- STE and module activity alike;
+    #: False means the analysis rejected them and the embedded
+    #: interpreter scans every byte
     modules_vectorized: bool
+    # Always 0: no rescan path exists.  Kept readable only for the
+    # benchmark's ``engine.block.rescans/.reenables`` per-layer names;
+    # they go away with the next ``benchmark`` PR.
+    rescans: int = 0
+    reenables: int = 0
 
 
 class BlockScanner:
@@ -340,20 +289,19 @@ class BlockScanner:
         self.block_size = block_size
         self._scalar = StreamScanner(source)
         self._program = _program_for(source)
-        #: total aborted sweeps (monotonic, introspection/tests)
-        self._rescans = 0
-        #: consecutive aborted sweeps since the last committed block
-        self._fruitless = 0
-        self._sweeps_disabled = False
-        #: committed vector sweeps (monotonic)
+        #: blocks swept so far (monotonic until reset)
         self._committed = 0
-        #: disable-streak decays (monotonic)
-        self._reenables = 0
-        #: module-quiescent bytes consumed since sweeps were disabled
-        self._quiet_bytes = 0
 
-    # the embedded scalar scanner owns all mutable state, so fallback
-    # blocks and vector commits observe one single source of truth
+    @staticmethod
+    def can_sweep(tables: TransitionTables) -> bool:
+        """Did the static analysis accept ``tables`` for the vector
+        sweep?  Decided once per tables object (and cached); when
+        False a :class:`BlockScanner` over them is the scalar
+        interpreter at scalar speed.  Requires NumPy."""
+        return _program_for(tables).sweep_ok
+
+    # the embedded scalar scanner owns all mutable state: the sweep
+    # writes its carried state there at every block boundary
     @property
     def reports(self):
         """Distinct ``(position, report_id)`` pairs seen so far."""
@@ -369,24 +317,15 @@ class BlockScanner:
 
     @property
     def sweep_stats(self) -> BlockSweepStats:
-        """Commit/rescan/re-enable counters for this stream so far."""
-        program = self._program
+        """Committed-block count and sweep verdict for this stream."""
         return BlockSweepStats(
             committed_blocks=self._committed,
-            rescans=self._rescans,
-            reenables=self._reenables,
-            sweeps_disabled=self._sweeps_disabled,
-            modules_vectorized=program.full_ok,
+            modules_vectorized=self._program.sweep_ok,
         )
 
     def reset(self) -> None:
         self._scalar.reset()
-        self._rescans = 0
-        self._fruitless = 0
-        self._sweeps_disabled = False
         self._committed = 0
-        self._reenables = 0
-        self._quiet_bytes = 0
 
     def finish(self):
         """Mark end-of-stream; returns the distinct report set."""
@@ -394,76 +333,18 @@ class BlockScanner:
 
     def feed(self, chunk: Chunk):
         """Consume one chunk; return reports newly added by it."""
+        if not self._program.sweep_ok:
+            # tables the analysis rejected run whole on the interpreter
+            return self._scalar.feed(chunk)
         if self._scalar._finished:
             raise RuntimeError("feed() after finish(); call reset() to rescan")
-        chunk = coerce_chunk(chunk)
-        program = self._program
-
-        if program.full_ok and not program.pure:
-            # module activity runs inside the sweep: every block
-            # commits, the scalar interpreter never replays anything
-            arr = _np.frombuffer(chunk, dtype=_np.uint8)
-            new: list[tuple[int, Optional[str]]] = []
-            length = len(arr)
-            offset = 0
-            block = self.block_size
-            while offset < length:
-                end = min(offset + block, length)
-                self._vector_block_modules(arr[offset:end], new)
-                self._committed += 1
-                offset = end
-            return new
-
-        if not program.vector_ok:
-            return self._scalar.feed(chunk)
-
-        arr = _np.frombuffer(chunk, dtype=_np.uint8)
-        new = []
-        length = len(arr)
-        offset = 0
+        arr = _np.frombuffer(coerce_chunk(chunk), dtype=_np.uint8)
+        new: list[tuple[int, Optional[str]]] = []
         block = self.block_size
-        while offset < length:
-            end = min(offset + block, length)
-            if self._sweeps_disabled:
-                # scalar blocks, but watch for module-quiescent runs
-                # long enough to re-arm sweeping
-                new.extend(self._scalar_feed_tracked(chunk[offset:end]))
-            # modules holding state must see every byte: scalar block
-            elif not program.pure and self._scalar._dirty:
-                new.extend(self._scalar.feed(chunk[offset:end]))
-            elif not self._vector_block(arr[offset:end], new):
-                # a module port was signalled mid-block: discard the
-                # sweep and replay the block through the interpreter
-                self._rescans += 1
-                self._fruitless += 1
-                new.extend(self._scalar.feed(chunk[offset:end]))
-                if self._fruitless >= _RESCAN_LIMIT:
-                    # module-dense phase: stop paying for doomed sweeps
-                    self._sweeps_disabled = True
-                    self._quiet_bytes = 0
-            offset = end
+        for offset in range(0, len(arr), block):
+            self._sweep(arr[offset : offset + block], new)
+            self._committed += 1
         return new
-
-    def _scalar_feed_tracked(self, piece):
-        """Scalar feed while sweeps are disabled; decays the disable
-        after ``_REENABLE_AFTER`` blocks' worth of module-quiescent
-        input so a module-dense burst is not a life sentence."""
-        stats = self._scalar.stats
-        ops_before = stats.counter_ops + stats.bit_vector_ops
-        out = self._scalar.feed(piece)
-        module_active = bool(self._scalar._dirty) or (
-            stats.counter_ops + stats.bit_vector_ops != ops_before
-        )
-        if module_active:
-            self._quiet_bytes = 0
-        else:
-            self._quiet_bytes += len(piece)
-            if self._quiet_bytes >= _REENABLE_AFTER * self.block_size:
-                self._sweeps_disabled = False
-                self._fruitless = 0
-                self._quiet_bytes = 0
-                self._reenables += 1
-        return out
 
     # -- one-shot conveniences (mirror StreamScanner) ----------------------
     def scan(self, data: Chunk):
@@ -478,145 +359,11 @@ class BlockScanner:
         return sorted({position for position, _ in self.reports})
 
     # -- the vector sweep --------------------------------------------------
-    def _vector_block(self, arr, new: list) -> bool:
-        """Sweep one block; commit and return True, or detect module
-        activity and return False leaving all state untouched."""
-        np = _np
-        program = self._program
-        tables = self.tables
-        scalar = self._scalar
-        enabled = scalar._enabled
-        cycle = scalar._cycle
-        blen = len(arr)
-
-        cls = program.byte_class_arr[arr]
-        topo = program.topo
-        preds = program.preds
-        succ_lists = program.succ_lists
-        succ_masks = tables.succ_masks
-        has_self = program.has_self
-        always_flag = program.always_flag
-        start_flag = program.start_flag
-        report_flag = program.report_flag
-        hook_flag = program.hook_flag
-        row_of = program.row_of
-        uniq_rows = program.uniq_rows
-        rids = tables.ste_report_ids
-        at_start = cycle == 0
-
-        n = tables.n_stes
-        occ: list = [None] * n
-        needed = bytearray(n)
-        touched: list[int] = []
-        for v in program.always_list:
-            needed[v] = 1
-            touched.append(v)
-        if at_start:
-            for v in program.start_list:
-                if not needed[v]:
-                    needed[v] = 1
-                    touched.append(v)
-        mask = enabled
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            v = low.bit_length() - 1
-            if not needed[v]:
-                needed[v] = 1
-                touched.append(v)
-
-        memb_cache: dict = {}
-        idx = None
-        activations = 0
-        events = 0
-        found: list[tuple[int, Optional[str]]] = []
-        last_mask = 0
-        for v in topo:
-            if not needed[v]:
-                continue
-            row = row_of[v]
-            memb = memb_cache.get(row)
-            if memb is None:
-                memb = uniq_rows[row][cls]
-                memb_cache[row] = memb
-            entry = bool((enabled >> v) & 1) or (at_start and start_flag[v])
-            if always_flag[v]:
-                # enabled on every symbol: occupancy is plain membership
-                # (a self-loop adds nothing on top of ALL_INPUT)
-                lane = memb
-            else:
-                live = [occ[u] for u in preds[v] if occ[u] is not None]
-                if has_self[v]:
-                    # self-loop closed form: held at t iff some enable
-                    # arrived within the current unbroken symbol run
-                    if idx is None:
-                        idx = np.arange(blen)
-                    drive = np.zeros(blen, dtype=bool)
-                    drive[0] = entry
-                    for lane_u in live:
-                        np.logical_or(drive[1:], lane_u[:-1], out=drive[1:])
-                    run_start = np.maximum.accumulate(np.where(memb, 0, idx + 1))
-                    last_drive = np.maximum.accumulate(np.where(drive, idx, -1))
-                    lane = memb & (last_drive >= run_start)
-                elif len(live) == 1:
-                    lane = np.empty(blen, dtype=bool)
-                    np.logical_and(live[0][:-1], memb[1:], out=lane[1:])
-                    lane[0] = entry and bool(memb[0])
-                else:
-                    lane = np.zeros(blen, dtype=bool)
-                    lane[0] = entry
-                    for lane_u in live:
-                        np.logical_or(lane[1:], lane_u[:-1], out=lane[1:])
-                    np.logical_and(lane, memb, out=lane)
-            count = int(np.count_nonzero(lane))
-            if count == 0:
-                continue
-            if hook_flag[v]:
-                # this STE drives a counter/bit-vector port: the sweep's
-                # no-module-activity premise is broken for this block
-                return False
-            occ[v] = lane
-            activations += count
-            if report_flag[v]:
-                events += count
-                rid = rids[v]
-                base = cycle + 1
-                for position in np.flatnonzero(lane).tolist():
-                    found.append((base + position, rid))
-            if lane[-1]:
-                last_mask |= succ_masks[v]
-            for w in succ_lists[v]:
-                if not needed[w]:
-                    needed[w] = 1
-                    touched.append(w)
-
-        # commit: the block held no module activity, so the modules'
-        # rest state, pre latches, and counter registers are untouched
-        # -- exactly what the interpreter's skip path would have done
-        scalar._enabled = last_mask
-        scalar._cycle = cycle + blen
-        stats = scalar.stats
-        stats.cycles += blen
-        stats.ste_activations += activations
-        stats.reports += events
-        if found:
-            reports = scalar.reports
-            # by position only: report ids may mix None with str
-            found.sort(key=lambda pair: pair[0])
-            for pair in found:
-                if pair not in reports:
-                    reports.add(pair)
-                    new.append(pair)
-        self._fruitless = 0
-        self._committed += 1
-        return True
-
-    # -- the module-aware vector sweep --------------------------------------
-    def _vector_block_modules(self, arr, new: list) -> None:
-        """Sweep one block with counter/bit-vector activity evaluated
-        in-lane (``full_ok`` tables).  Always commits: reports, stats,
-        and module registers land exactly where the interpreter would
-        have put them, so there is nothing to rescan."""
+    def _sweep(self, arr, new: list) -> None:
+        """Sweep one block of accepted tables, STE and counter/bit-vector
+        activity alike evaluated in-lane.  Always commits: reports,
+        stats, and module registers land exactly where the interpreter
+        would have put them."""
         np = _np
         program = self._program
         tables = self.tables
@@ -719,20 +466,6 @@ class BlockScanner:
                         for lane_u in live:
                             np.logical_or(lane[1:], lane_u[:-1], out=lane[1:])
                         np.logical_and(lane, memb, out=lane)
-                count = int(np.count_nonzero(lane))
-                if count == 0:
-                    continue
-                occ[v] = lane
-                activations += count
-                if report_flag[v]:
-                    events += count
-                    rid = rids[v]
-                    for position in np.flatnonzero(lane).tolist():
-                        found.append((base + position, rid))
-                if lane[-1]:
-                    last_mask |= succ_masks[v]
-                for w in succ_lists[v]:
-                    needed[w] = 1
             else:
                 plan = plans[index]
                 s = plan.absorbed
@@ -754,20 +487,6 @@ class BlockScanner:
                     scalar,
                     acc,
                 )
-                if s_occ is not None:
-                    count = int(np.count_nonzero(s_occ))
-                    if count:
-                        occ[s] = s_occ
-                        activations += count
-                        if report_flag[s]:
-                            events += count
-                            rid = rids[s]
-                            for position in np.flatnonzero(s_occ).tolist():
-                                found.append((base + position, rid))
-                        if s_occ[-1]:
-                            last_mask |= succ_masks[s]
-                        for w in succ_lists[s]:
-                            needed[w] = 1
                 if out_lane is not None:
                     mod_out[index] = out_lane
                     if plan.reports:
@@ -790,6 +509,24 @@ class BlockScanner:
                 # vector's body STE for the cycle after any pre pulse
                 if pre_last and plan.kind == KIND_BIT_VECTOR:
                     last_mask |= aux_ste_masks[index]
+                if s_occ is None:
+                    continue
+                # the absorbed body STE publishes like any other STE
+                v, lane = s, s_occ
+            count = int(np.count_nonzero(lane))
+            if count == 0:
+                continue
+            occ[v] = lane
+            activations += count
+            if report_flag[v]:
+                events += count
+                rid = rids[v]
+                for position in np.flatnonzero(lane).tolist():
+                    found.append((base + position, rid))
+            if lane[-1]:
+                last_mask |= succ_masks[v]
+            for w in succ_lists[v]:
+                needed[w] = 1
 
         scalar._enabled = last_mask
         scalar._cycle = cycle + blen

@@ -32,15 +32,17 @@ recursive.  :func:`analyze` recognizes those loop shapes structurally
 single node whose closed form covers both the module and its body
 STE.  What remains must be acyclic (same-cycle module signals plus
 next-cycle enables, jointly); any other feedback (multi-STE counter
-bodies, nested counting) rejects the whole tables and the scanner
-keeps its optimistic-sweep-plus-rescan fallback.
+bodies, nested counting, STE cycles longer than a self-loop) rejects
+the whole tables and the scanner feeds them to its embedded scalar
+interpreter instead.  Module-free tables are the degenerate case: no
+plans, and ``steps`` is the STE topological order.
 
 All closed forms reproduce the interpreter bit for bit: reports,
 ``ActivityStats`` (including per-module op counts and weighted
 bit-vector ops), and the carried scalar state (enable mask, counter
 registers, shift registers, latched ``pre``, dirty set) written back
-at each block boundary, so vector and scalar blocks interleave freely
-mid-stream.
+at each block boundary, so the embedded interpreter's state is valid
+wherever a stream is cut.
 """
 
 from __future__ import annotations
@@ -186,7 +188,7 @@ def analyze(
     start_flag: list[bool],
 ) -> Optional[ModuleProgram]:
     """Build the combined STE+module program, or ``None`` when these
-    tables cannot run module activity inside vector sweeps."""
+    tables cannot run inside vector sweeps."""
     n = tables.n_stes
     nm = tables.n_modules
     wiring = module_wiring(tables)

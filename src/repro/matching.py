@@ -204,9 +204,8 @@ class RulesetMatcher(LocalMatcher):
     statistics):
 
     * ``"auto"`` (default) -- pick the fastest available backend that
-      applies to the compiled tables (the NumPy ``"block"`` scanner
-      for module-free rulesets, the scalar ``"stream"`` interpreter
-      otherwise);
+      applies to the compiled tables (the rule is stated in
+      :mod:`repro.engine.backends`);
     * ``"stream"`` -- precompiled transition tables, integer-bitmask
       per-byte loop;
     * ``"block"`` -- NumPy bit-parallel block sweeps (needs numpy);
@@ -223,7 +222,7 @@ class RulesetMatcher(LocalMatcher):
         strict_modules: keep the body-level single-token gate on
             (recommended; see ``repro.analysis.module_safety``).
         engine: default engine for the scan entry points -- ``"auto"``
-            or any registered backend name/alias.
+            or any registered backend name.
         opt_level: optimisation pipeline level
             (:mod:`repro.compiler.passes`).  ``0`` (default) preserves
             byte-exact :class:`~repro.hardware.simulator.ActivityStats`

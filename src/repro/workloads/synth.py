@@ -440,7 +440,7 @@ def module_heavy(total: int = 24, seed: int = 0x40D5) -> Suite:
     Unlike the application suites this one is *pure* module pressure:
     guarded runs (counters), wildcard/class gaps (bit vectors), and
     ALL_INPUT gap heads, all with one-STE bodies so the entire suite
-    stays on the block scanner's in-lane fast path (zero rescans is an
+    is accepted by the block scanner's static sweep analysis (an
     asserted property, not luck).
     """
     rng = random.Random(seed)

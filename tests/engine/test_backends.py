@@ -1,6 +1,6 @@
 """The pluggable execution-backend subsystem.
 
-Covers the registry (names, aliases, auto selection, the single
+Covers the registry (names, auto selection, the single
 unknown-engine error, graceful degradation without NumPy) and the
 ``"block"`` backend's equivalence contract: identical distinct reports
 *and* ActivityStats against the reference simulator on every pattern
@@ -22,7 +22,7 @@ from repro.engine.backends import (
     resolve_backend,
     validated_backend_names,
 )
-from repro.engine.backends.registry import _ALIASES, _BACKENDS
+from repro.engine.backends.registry import _BACKENDS
 from repro.engine.block import BlockScanner
 from repro.engine.scanner import StreamScanner
 from repro.engine.tables import compile_tables
@@ -56,8 +56,8 @@ class TestRegistry:
         assert names[:3] == ["stream", "block", "reference"]
 
     def test_aliases_resolve(self):
-        # no built-in keeps an alias (the historical "table" spelling is
-        # gone); third-party aliases: test_third_party_registration
+        # the registry has no alias layer: only registered names resolve
+        # (the historical "table" spelling is gone)
         with pytest.raises(ValueError, match="available engines"):
             get_backend("table")
 
@@ -90,7 +90,6 @@ class TestRegistry:
     def test_register_and_replace_custom_backend(self):
         class Custom(Backend):
             name = "custom-test"
-            aliases = ("custom-alias",)
             description = "test double"
 
             def make_scanner(self, tables):
@@ -98,14 +97,13 @@ class TestRegistry:
 
         try:
             register_backend(Custom())
-            assert get_backend("custom-alias").name == "custom-test"
+            assert "custom-test" in engine_choices()
             register_backend(Custom(), replace=True)  # idempotent override
             tables = _tables("ab")
             scanner = resolve_backend("custom-test", tables).make_scanner(tables)
             assert scanner.scan(b"xab") == {(3, "p")}
         finally:
             _BACKENDS.pop("custom-test", None)
-            _ALIASES.pop("custom-alias", None)
 
     @needs_numpy
     def test_auto_picks_block_for_module_free(self):
@@ -121,8 +119,8 @@ class TestRegistry:
         assert resolve_backend("auto", tables).name == "block"
 
     def test_auto_picks_stream_for_cyclic_module_wiring(self):
-        # a multi-STE counter body defeats in-sweep module execution;
-        # the optimistic-sweep path risks rescans, so stream wins auto
+        # a multi-STE counter body defeats in-sweep module execution:
+        # the sweep analysis rejects the tables, so stream wins auto
         tables = RulesetMatcher([("loop", r"x(ab){2,3}y")]).tables
         assert tables.n_modules > 0
         assert resolve_backend("auto", tables).name == "stream"
@@ -339,7 +337,7 @@ class TestBlockScannerEquivalence:
 
     def test_vectorizable_modules_run_in_sweep_without_rescans(self):
         """Bounded repeats with one-STE bodies execute inside the
-        sweep: every block commits, the scalar replay path never runs."""
+        sweep: every block commits."""
         compiled = compile_pattern(r"[^a]a{3,9}", report_id="p")
         tables = compile_tables(compiled.network)
         data = b"xaaaa baaab zaaaaaaaaaz " * 200
@@ -350,29 +348,7 @@ class TestBlockScannerEquivalence:
         assert scanner.stats.equivalent(want_stats)
         sweep = scanner.sweep_stats
         assert sweep.modules_vectorized
-        assert sweep.rescans == 0
-        assert not sweep.sweeps_disabled
         assert sweep.committed_blocks == -(-len(data) // 16)
-
-    def test_module_rescan_limit_degrades_to_scalar(self):
-        """Module wiring the sweep cannot absorb (multi-STE counter
-        body): on module-dense input the scanner must stop paying for
-        doomed vector sweeps but stay exactly equivalent."""
-        compiled = compile_pattern(r"x(ab){2,3}y", report_id="p")
-        tables = compile_tables(compiled.network)
-        data = b"xababy xabababy zz " * 200
-        want_reports, want_stats = _reference(compiled.network, data)
-        scanner = BlockScanner(tables, block_size=16)
-        scanner.feed(data)
-        assert scanner.finish() == want_reports
-        assert scanner.stats.equivalent(want_stats)
-        sweep = scanner.sweep_stats
-        assert not sweep.modules_vectorized
-        assert sweep.rescans >= 1  # the fallback actually engaged
-        # ...and a streak of fruitless sweeps shut vectorization off
-        assert sweep.sweeps_disabled
-        scanner.reset()
-        assert not scanner.sweep_stats.sweeps_disabled
 
     @pytest.mark.parametrize(
         "factory, total",

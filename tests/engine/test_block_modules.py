@@ -3,13 +3,13 @@
 Three layers of proof that module state is exact under vector sweeps:
 
 * analyze-level: which wirings the block scanner absorbs into closed
-  forms and which it rejects (the optimistic-rescan fallback);
-* chunk-boundary properties: counter registers and bit-vector shift
-  registers carry exactly across ``feed()`` splits at **every** split
-  point of a matching window, with sweeps committing (zero rescans);
-* the disable-streak decay: a module-dense burst turns sweeps off,
-  module-quiescent input turns them back on, equivalence holds across
-  the whole disable/re-enable arc.
+  forms and which it rejects (those run on the embedded interpreter);
+* chunk-boundary properties: counter registers, bit-vector shift
+  registers and plain STE enables carry exactly across ``feed()``
+  splits at **every** split point of a matching window, with every
+  block committed by the one sweep;
+* rejected tables: under an explicit ``engine="block"`` they are the
+  scalar interpreter, exactly, and ``auto`` never picks block for them.
 """
 
 import pytest
@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 import repro.engine.block as block_engine
 from repro.compiler.pipeline import compile_pattern, compile_ruleset
+from repro.engine.backends import resolve_backend
 from repro.engine.block import BlockScanner, BlockSweepStats, _program_for
 from repro.engine.scanner import StreamScanner
 from repro.engine.tables import compile_tables
@@ -45,8 +46,8 @@ def _want(tables, data):
 
 def _assert_every_split_exact(tables, data, block_size):
     """Feed ``data`` split at every possible point; each split must
-    reproduce the one-shot reference exactly, with every sweep
-    committing (the whole point of in-lane module execution)."""
+    reproduce the one-shot reference exactly, with every block
+    committed by the sweep (the whole point of in-lane execution)."""
     want_reports, want_stats = _want(tables, data)
     for split in range(len(data) + 1):
         scanner = BlockScanner(tables, block_size=block_size)
@@ -57,7 +58,7 @@ def _assert_every_split_exact(tables, data, block_size):
         assert scanner.stats.equivalent(want_stats), context
         sweep = scanner.sweep_stats
         assert sweep.modules_vectorized, context
-        assert sweep.rescans == 0, context
+        assert sweep.committed_blocks > 0, context
 
 
 class TestAnalyze:
@@ -69,27 +70,29 @@ class TestAnalyze:
     )
     def test_one_ste_loops_vectorize(self, pattern):
         program = _program_for(_tables(pattern))
-        assert program.full_ok
+        assert program.sweep_ok
         assert any(plan.absorbed is not None for plan in program.mod_plans)
 
     def test_all_input_bit_vector_runs_free_standing(self):
         # `.` bodies pair with an always-on STE, so the module is not
         # absorbed -- but its lanes still evaluate inside the sweep
         program = _program_for(_tables(r".{3,5}z"))
-        assert program.full_ok
+        assert program.sweep_ok
         assert all(plan.absorbed is None for plan in program.mod_plans)
 
     def test_multi_ste_body_falls_back(self):
         # (ab){2,3}: both body STEs drive the counter's fst/lst ports,
-        # outside every absorption template -> optimistic path
-        program = _program_for(_tables(r"x(ab){2,3}y"))
-        assert not program.full_ok
-        assert program.vector_ok  # STE graph itself is still fine
+        # outside every absorption template -> rejected
+        assert not BlockScanner.can_sweep(_tables(r"x(ab){2,3}y"))
 
     def test_module_free_tables_unchanged(self):
-        program = _program_for(_tables(r"abc"))
-        assert program.pure and program.full_ok and program.vector_ok
-        assert program.mod_plans is None
+        # the module-free case of the same analysis: accepted, no
+        # plans, the steps are the STE topological order
+        tables = _tables(r"abc")
+        assert BlockScanner.can_sweep(tables)
+        program = _program_for(tables)
+        assert program.mod_plans == []
+        assert sorted(program.steps) == [(0, v) for v in range(tables.n_stes)]
 
 
 class TestChunkBoundaryProperties:
@@ -156,9 +159,22 @@ class TestChunkBoundaryProperties:
         data = b"xa" * hi + b"b" + b"y" * lo + b"cabc"
         _assert_every_split_exact(tables, data, block_size)
 
+    @pytest.mark.parametrize(
+        "pattern, data",
+        [
+            pytest.param(r"abcab", b"xabcabcab abcab", id="literal-chain"),
+            pytest.param(r"xya+", b"xyaaa xya xyb xyaa", id="self-loop-tail"),
+        ],
+    )
+    @pytest.mark.parametrize("block_size", [2, 3, 5])
+    def test_ste_only_tables_across_every_split(self, pattern, data, block_size):
+        tables = _tables(pattern)
+        assert tables.n_modules == 0
+        _assert_every_split_exact(tables, data, block_size)
+
 
 class TestSweepStats:
-    """Satellite: rescans/commits surfaced, not inferred."""
+    """Satellite: commits surfaced, not inferred."""
 
     def test_zero_rescans_assertable_on_vectorized_modules(self):
         tables = _tables(r"[^a]a{3,9}")
@@ -167,78 +183,44 @@ class TestSweepStats:
         sweep = scanner.sweep_stats
         assert isinstance(sweep, BlockSweepStats)
         assert sweep.modules_vectorized
-        assert sweep.rescans == 0
         assert sweep.committed_blocks > 0
-        assert not sweep.sweeps_disabled
-
-    def test_rescans_counted_on_fallback_wiring(self):
-        tables = _tables(r"x(ab){2,3}y")
-        scanner = BlockScanner(tables, block_size=16)
-        scanner.feed(b"xababy" + b"z" * 26)
-        sweep = scanner.sweep_stats
-        assert not sweep.modules_vectorized
-        assert sweep.rescans >= 1
-        assert sweep.rescans == scanner._rescans
 
     def test_reset_clears_sweep_stats(self):
         scanner = BlockScanner(_tables(r"[^a]a{3,9}"), block_size=16)
         scanner.feed(b"xaaaa" * 40)
         assert scanner.sweep_stats.committed_blocks > 0
         scanner.reset()
-        sweep = scanner.sweep_stats
-        assert sweep.committed_blocks == 0 and sweep.rescans == 0
-        assert sweep.reenables == 0 and not sweep.sweeps_disabled
+        assert scanner.sweep_stats.committed_blocks == 0
 
 
-class TestDisableStreakDecay:
-    """Satellite: the vector-disable streak decays instead of lasting
-    for the stream's lifetime."""
+#: shapes the sweep analysis rejects: a multi-STE counter body, nested
+#: counting, an STE cycle longer than a self-loop
+REJECTED = [
+    pytest.param(r"x(ab){2,3}y", b"xababy xabababy zz ", id="multi-ste-body"),
+    pytest.param(
+        r"x(ab{2,3}){2,3}y", b"xabbabby xabby xabbbabbabbby ", id="nested-counting"
+    ),
+    pytest.param(r"(ab)+c", b"ababc abc ac abab ", id="ste-cycle"),
+]
 
-    def test_sweeps_rearm_after_quiescent_blocks(self):
-        tables = _tables(r"x(ab){2,3}y")
-        block = 16
-        scanner = BlockScanner(tables, block_size=block)
-        # module-dense phase: every sweep aborts until the streak trips
-        dense = b"xababy xabababy " * 64
-        scanner.feed(dense)
-        assert scanner.sweep_stats.sweeps_disabled
-        # module-quiescent phase: after _REENABLE_AFTER clean blocks
-        # the scanner must start sweeping again
-        quiet = b"z" * (block_engine._REENABLE_AFTER * block + block)
-        scanner.feed(quiet)
-        sweep = scanner.sweep_stats
-        assert not sweep.sweeps_disabled
-        assert sweep.reenables == 1
-        committed_before = sweep.committed_blocks
-        scanner.feed(b"z" * (4 * block))
-        assert scanner.sweep_stats.committed_blocks > committed_before
 
-    def test_module_activity_resets_the_quiescence_clock(self):
-        tables = _tables(r"x(ab){2,3}y")
-        block = 16
-        scanner = BlockScanner(tables, block_size=block)
-        scanner.feed(b"xababy xabababy " * 64)
-        assert scanner.sweep_stats.sweeps_disabled
-        # keep poking the counter inside every would-be-quiet window:
-        # the decay clock must never reach the re-enable threshold
-        for _ in range(8):
-            scanner.feed(b"xab" + b"z" * (block - 3))
-        sweep = scanner.sweep_stats
-        assert sweep.sweeps_disabled
-        assert sweep.reenables == 0
+class TestRejectedTables:
+    """Tables the analysis rejects run whole on the embedded
+    interpreter -- no sweep is attempted, nothing differs from stream."""
 
-    def test_equivalence_across_disable_and_reenable(self):
-        tables = _tables(r"x(ab){2,3}y")
-        block = 16
-        data = (
-            b"xababy xabababy " * 64  # disable
-            + b"z" * (block_engine._REENABLE_AFTER * block + block)  # re-arm
-            + b"xababy" + b"z" * 40  # post-re-enable matches
-        )
+    @pytest.mark.parametrize("pattern, unit", REJECTED)
+    def test_explicit_block_is_the_interpreter(self, pattern, unit):
+        tables = _tables(pattern)
+        assert not BlockScanner.can_sweep(tables)
+        assert resolve_backend("auto", tables).name == "stream"
+        data = unit * 40
         want_reports, want_stats = _want(tables, data)
-        scanner = BlockScanner(tables, block_size=block)
+        assert want_reports
+        scanner = BlockScanner(tables, block_size=16)
         for offset in range(0, len(data), 48):
             scanner.feed(data[offset : offset + 48])
         assert scanner.finish() == want_reports
         assert scanner.stats.equivalent(want_stats)
-        assert scanner.sweep_stats.reenables >= 1
+        sweep = scanner.sweep_stats
+        assert sweep.committed_blocks == 0
+        assert sweep.modules_vectorized is False
