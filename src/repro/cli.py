@@ -73,6 +73,15 @@ from .workloads.synth import suite_by_name
 __all__ = ["main", "build_parser"]
 
 
+def _shard_count(text: str) -> int:
+    """``--shards`` value: a count, so 0 and negatives are usage errors
+    rather than another spelling of "unsharded"."""
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {count}")
+    return count
+
+
 def _add_compile_options(
     parser, *, cache_help: str, engine_help: Optional[str] = None,
     shards: bool = False,
@@ -107,7 +116,7 @@ def _add_compile_options(
     if shards:
         parser.add_argument(
             "--shards",
-            type=int,
+            type=_shard_count,
             default=1,
             help="round-robin the rule set over N independent shards",
         )
@@ -234,7 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--threads", type=int, default=None,
         help="feed-offload thread count per server process "
-        "(default: executor's choice)",
+        "(default: 1 -- scans hold the GIL, more threads only "
+        "time-slice connections; scale with --workers)",
     )
     p_serve.add_argument(
         "--workers", type=int, default=1,
@@ -298,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(one running match server per ruleset shard)",
     )
     p_cluster.add_argument(
-        "--shards", type=int, default=3,
+        "--shards", type=_shard_count, default=3,
         help="shard server count in spawn mode (default 3)",
     )
     p_cluster.add_argument("--host", default="127.0.0.1")
@@ -496,15 +506,23 @@ def _read_rules(path: str, fmt: str = "native") -> list[tuple]:
     return rules
 
 
+class _InputError(Exception):
+    """``--input`` cannot be opened; :func:`main` prints it, exit 2."""
+
+
 @contextlib.contextmanager
 def _open_input(path: str):
     """The binary input handle for ``--input`` (``-`` = stdin, which
     is left open)."""
     if path == "-":
         yield sys.stdin.buffer
-    else:
-        with open(path, "rb") as handle:
-            yield handle
+        return
+    try:
+        handle = open(path, "rb")
+    except OSError as exc:
+        raise _InputError(f"cannot read --input: {exc}") from exc
+    with handle:
+        yield handle
 
 
 def _chunks(handle, size: int):
@@ -1125,10 +1143,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except BackendUnavailable as exc:
-        # e.g. --engine block without numpy: a clean message, not a
-        # traceback (argparse offers every registered name regardless
-        # of availability)
+    except (BackendUnavailable, _InputError) as exc:
+        # e.g. --engine block without numpy (argparse offers every
+        # registered name regardless of availability) or a missing
+        # --input file: a clean message, not a traceback
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -6,9 +6,9 @@ enable/match/successor recurrence even though most of the work is
 embarrassingly data-parallel across input positions.  This module
 trades the per-byte loop for *per-block* vector sweeps, the same move
 GPU IDS engines make when they batch the byte->class indirection
-(Bellekens et al.): load a block of input, translate it to alphabet
-classes in one gather, then evaluate STE occupancy over the whole
-block with NumPy boolean lanes.
+(Bellekens et al.): translate the input to alphabet classes in one
+pass, then evaluate STE occupancy over a whole block with NumPy
+boolean lanes.
 
 How a block is scanned
 ----------------------
@@ -19,17 +19,21 @@ element per input position) satisfying::
                                 or occ[u][t-1] for some predecessor u
                                 or carried enable at t == 0)
 
-where ``memb[v] = class_row[v][byte_class[block]]`` is one vectorized
-gather (shared by every STE with the same symbol set -- run chains
-share one row).  Evaluating STEs in topological order turns the whole
-recurrence into one shifted AND/OR per edge, and an STE whose
-occupancy lane is all-zero prunes its entire downstream cone for the
-block -- literal chains die after a couple of levels, which is where
-the asymptotic win over the scalar interpreter comes from.  Self-loop
-STEs (``a+``/``a*`` tails) stay vectorizable through the run-length
-closed form: the self-loop holds at ``t`` iff some enable arrived
-inside the current unbroken symbol run, i.e. ``last_enable_index >=
-run_start_index``, both one ``np.maximum.accumulate`` away.
+where ``memb[v]`` says which positions hold a byte of ``v``'s symbol
+set.  A ``feed`` is translated to alphabet classes once
+(``bytes.translate``); a membership lane is then one compare
+(``cls == c``) when the symbol set is a single class -- most are --
+and a ``take`` through the set's class row otherwise, built once per
+block and distinct symbol set (run chains share one row).  Evaluating
+STEs in topological order turns the whole recurrence into one shifted
+AND/OR per edge, and an STE whose occupancy lane is all-zero prunes
+its entire downstream cone for the block -- literal chains die after a
+couple of levels, which is where the asymptotic win over the scalar
+interpreter comes from.  Self-loop STEs (``a+``/``a*`` tails) stay
+vectorizable through the run-length closed form: the self-loop holds
+at ``t`` iff some enable arrived inside the current unbroken symbol
+run, i.e. ``last_enable_index >= run_start_index``, both one
+``np.maximum.accumulate`` away.
 
 Stats and reports are exact, not approximate: activations are
 ``count_nonzero`` per occupancy lane, report events are the nonzero
@@ -41,12 +45,13 @@ Counter / bit-vector modules
 Module activity runs *inside* the same sweep:
 :mod:`repro.engine.block_modules` collapses the emitted one-STE
 feedback loops (``en_fst`` re-arming a counter body, ``en_body``
-holding a bit-vector body STE) into closed-form nodes: counter
-registers become prefix sums over ``fst`` lanes, bit-vector shift
-registers become windowed existence queries over entry lanes, and the
-carried scalar state (registers, latched ``pre``, dirty set) is
-written back at every block boundary.  Every block commits, and
-reports/stats stay exactly equal to the interpreter's.
+holding a bit-vector body STE) into closed-form nodes whose cost
+follows the live tokens, not the bound: each token's interval is
+painted into the output lanes, free-standing counter registers are
+prefix sums over ``fst`` lanes, and the carried scalar state
+(registers, latched ``pre``, dirty set) is written back at every
+block boundary.  Every block commits, and reports/stats stay exactly
+equal to the interpreter's.
 
 One static verdict
 ------------------
@@ -135,7 +140,7 @@ class _BlockProgram:
         "start_list",
         "row_of",
         "uniq_rows",
-        "byte_class_arr",
+        "row_class",
         "mod_plans",
         "steps",
         "mod_preds",
@@ -200,7 +205,7 @@ class _BlockProgram:
 
         # one bool row of n_classes per distinct symbol set; STEs with
         # identical symbol sets (all copies of an unfolded run) share a
-        # row, so the per-block membership gather happens once per set
+        # row, so the per-block membership lane is built once per set
         match_rows = np.zeros((max(n, 1), tables.n_classes or 1), dtype=bool)
         for c, mask in enumerate(tables.match_masks):
             m = mask
@@ -216,7 +221,10 @@ class _BlockProgram:
         self.uniq_rows = np.zeros((max(len(row_index), 1), tables.n_classes or 1), dtype=bool)
         for i in range(n):
             self.uniq_rows[self.row_of[i]] = match_rows[i]
-        self.byte_class_arr = np.frombuffer(tables.byte_class, dtype=np.uint8)
+        # most rows hold exactly one class: their lane is one compare
+        self.row_class = [
+            int(row.argmax()) if row.sum() == 1 else -1 for row in self.uniq_rows
+        ]
 
 
 def _mask_flags(mask: int, n: int) -> list[bool]:
@@ -239,6 +247,52 @@ def _program_for(tables: TransitionTables) -> _BlockProgram:
         _PROGRAMS[key] = program
         weakref.finalize(tables, _PROGRAMS.pop, key, None)
     return program
+
+
+class _BlockLanes:
+    """One block's lanes: what :meth:`BlockScanner._sweep` publishes and
+    :func:`block_modules.eval_module` reads.  Membership lanes and their
+    break positions are built on first use, once per class row."""
+
+    __slots__ = (
+        "blen", "occ", "mod_out", "mod_aux", "acc",
+        "_program", "_cls", "_cls_wide", "_memb", "_breaks",
+    )
+
+    def __init__(self, program: _BlockProgram, cls):
+        self.blen = len(cls)
+        self.occ: list = [None] * len(program.row_of)
+        self.mod_out: list = [None] * len(program.mod_plans)
+        self.mod_aux: list = [None] * len(program.mod_plans)
+        #: stats deltas: counter_ops, bit_vector_ops, bit_vector_weighted_ops
+        self.acc: list = [0, 0, 0.0]
+        self._program = program
+        self._cls = cls
+        self._cls_wide = cls.astype(_np.intp)  # `take` wants intp indices
+        self._memb: dict = {}
+        self._breaks: dict = {}
+
+    def memb_for(self, v: int):
+        """Where the block's bytes are in STE ``v``'s symbol set."""
+        row = self._program.row_of[v]
+        memb = self._memb.get(row)
+        if memb is None:
+            c = self._program.row_class[row]
+            if c >= 0:
+                memb = self._cls == c
+            else:
+                memb = self._program.uniq_rows[row].take(self._cls_wide)
+            self._memb[row] = memb
+        return memb
+
+    def breaks_for(self, v: int):
+        """Sorted positions outside ``v``'s symbol set, then ``blen``."""
+        row = self._program.row_of[v]
+        breaks = self._breaks.get(row)
+        if breaks is None:
+            breaks = _np.append(_np.flatnonzero(~self.memb_for(v)), self.blen)
+            self._breaks[row] = breaks
+        return breaks
 
 
 @dataclass(frozen=True)
@@ -338,11 +392,13 @@ class BlockScanner:
             return self._scalar.feed(chunk)
         if self._scalar._finished:
             raise RuntimeError("feed() after finish(); call reset() to rescan")
-        arr = _np.frombuffer(coerce_chunk(chunk), dtype=_np.uint8)
+        # bytes -> alphabet classes, once per feed
+        classes = bytes(coerce_chunk(chunk)).translate(self.tables.byte_class)
+        cls = _np.frombuffer(classes, dtype=_np.uint8)
         new: list[tuple[int, Optional[str]]] = []
         block = self.block_size
-        for offset in range(0, len(arr), block):
-            self._sweep(arr[offset : offset + block], new)
+        for offset in range(0, len(cls), block):
+            self._sweep(cls[offset : offset + block], new)
             self._committed += 1
         return new
 
@@ -359,8 +415,8 @@ class BlockScanner:
         return sorted({position for position, _ in self.reports})
 
     # -- the vector sweep --------------------------------------------------
-    def _sweep(self, arr, new: list) -> None:
-        """Sweep one block of accepted tables, STE and counter/bit-vector
+    def _sweep(self, cls, new: list) -> None:
+        """Sweep one block (as alphabet classes), STE and counter/bit-vector
         activity alike evaluated in-lane.  Always commits: reports,
         stats, and module registers land exactly where the interpreter
         would have put them."""
@@ -370,9 +426,8 @@ class BlockScanner:
         scalar = self._scalar
         enabled = scalar._enabled
         cycle = scalar._cycle
-        blen = len(arr)
+        blen = len(cls)
 
-        cls = program.byte_class_arr[arr]
         preds = program.preds
         succ_lists = program.succ_lists
         succ_masks = tables.succ_masks
@@ -381,8 +436,6 @@ class BlockScanner:
         always_eff = program.always_eff_flag
         start_flag = program.start_flag
         report_flag = program.report_flag
-        row_of = program.row_of
-        uniq_rows = program.uniq_rows
         rids = tables.ste_report_ids
         plans = program.mod_plans
         mod_preds = program.mod_preds
@@ -392,9 +445,9 @@ class BlockScanner:
         base = cycle + 1
 
         n = tables.n_stes
-        occ: list = [None] * n
-        mod_out: list = [None] * tables.n_modules
-        mod_aux: list = [None] * tables.n_modules
+        lanes = _BlockLanes(program, cls)
+        occ, mod_out, mod_aux = lanes.occ, lanes.mod_out, lanes.mod_aux
+        memb_for = lanes.memb_for
         needed = bytearray(n)
         for v in program.always_eff_list:
             needed[v] = 1
@@ -407,21 +460,10 @@ class BlockScanner:
             mask ^= low
             needed[low.bit_length() - 1] = 1
 
-        memb_cache: dict = {}
-
-        def memb_for(v):
-            row = row_of[v]
-            memb = memb_cache.get(row)
-            if memb is None:
-                memb = uniq_rows[row][cls]
-                memb_cache[row] = memb
-            return memb
-
         idx = None
         activations = 0
         events = 0
         found: list[tuple[int, Optional[str]]] = []
-        acc: list = [0, 0, 0.0]
         # the interpreter seeds every cycle's next_enabled with the
         # const mask (ALL_INPUT bit vectors re-arming their body STE)
         last_mask = tables.const_enable_mask
@@ -468,24 +510,8 @@ class BlockScanner:
                         np.logical_and(lane, memb, out=lane)
             else:
                 plan = plans[index]
-                s = plan.absorbed
-                if s is not None:
-                    memb = memb_for(s)
-                    enabled_bit = bool((enabled >> s) & 1)
-                else:
-                    memb = None
-                    enabled_bit = False
                 s_occ, out_lane, aux_lane, pre_last = block_modules.eval_module(
-                    np,
-                    plan,
-                    blen,
-                    occ,
-                    mod_out,
-                    mod_aux,
-                    memb,
-                    enabled_bit,
-                    scalar,
-                    acc,
+                    np, plan, lanes, scalar
                 )
                 if out_lane is not None:
                     mod_out[index] = out_lane
@@ -512,7 +538,7 @@ class BlockScanner:
                 if s_occ is None:
                     continue
                 # the absorbed body STE publishes like any other STE
-                v, lane = s, s_occ
+                v, lane = plan.absorbed, s_occ
             count = int(np.count_nonzero(lane))
             if count == 0:
                 continue
@@ -533,9 +559,9 @@ class BlockScanner:
         stats = scalar.stats
         stats.cycles += blen
         stats.ste_activations += activations
-        stats.counter_ops += acc[0]
-        stats.bit_vector_ops += acc[1]
-        stats.bit_vector_weighted_ops += acc[2]
+        stats.counter_ops += lanes.acc[0]
+        stats.bit_vector_ops += lanes.acc[1]
+        stats.bit_vector_weighted_ops += lanes.acc[2]
         stats.reports += events
         if found:
             reports = scalar.reports

@@ -8,21 +8,24 @@ recurrences have *closed forms over a block* once the module's input
 signals are available as boolean lanes, which is exactly what the
 block sweep computes for every STE anyway:
 
-* **counter** -- ``count[t]`` follows ``fst`` pulses by prefix sums:
-  with ``C = cumsum(fst)`` and ``r[t]`` the latest reset position
-  (a ``fst`` pulse arriving with a latched ``pre``),
+* **counter**, free-standing -- ``count[t]`` follows ``fst`` pulses by
+  prefix sums: with ``C = cumsum(fst)`` and ``r[t]`` the latest reset
+  position (a ``fst`` pulse arriving with a latched ``pre``),
   ``count[t] = C[t] - C[r[t]] + 1`` after a reset and
   ``carry + C[t]`` before any; ``en_out``/``en_fst`` are then pure
   elementwise tests against ``[lo, hi]`` on ``lst`` cycles.
-* **bit vector** -- a token entered at position ``e`` (a ``body``
-  signal with latched ``pre``) holds value ``t - e + 1`` at ``t`` and
-  survives exactly while the ``body`` signal run beginning at or
-  before ``e`` is unbroken.  Every observable is therefore a windowed
-  existence query over the *entry* lane -- ``en_out[t]`` asks for an
-  entry in ``[max(t-hi+1, run_start[t]), t-lo+1]`` -- answered with
-  one cumulative sum and two gathers.  Carried shift-register bits
-  from the previous block become virtual entries at negative
-  positions on a ``hi``-wide extension of the lane.
+* **bit vector** -- the shift register holds the counting set and
+  nothing else, so the lane form follows its tokens, not the bound: a
+  token that came in at position ``e`` (a ``body`` signal with latched
+  ``pre``) holds value ``t - e + 1`` at ``t`` and lives on ``[e, d]``,
+  ``d`` the earlier of ``e + hi - 1`` and the last position before the
+  ``body`` run breaks (one ``searchsorted`` into the lane's break
+  positions).  ``en_out`` is the union of ``[e + lo - 1, d]``,
+  ``en_body`` of ``[e, min(d, e + hi - 2)]``; :func:`_paint` turns
+  each union into a lane at a cost of O(tokens + painted positions).
+  Carried shift-register bits are virtual tokens at negative
+  positions.  An absorbed counter is the same picture with the latest
+  token superseding the one before it.
 
 The catch is wiring: emitted module fragments always close a one-STE
 feedback loop (``en_fst`` re-arms the counter body, ``en_body`` holds
@@ -64,10 +67,10 @@ from .tables import (
 
 __all__ = ["ModulePlan", "ModuleProgram", "analyze", "eval_module", "MAX_VECTOR_SPAN"]
 
-#: Largest module span (``hi``) the lane evaluator will build a
-#: carry-window extension for.  Spans beyond this are absurd for real
-#: rulesets (the hardware bit vector is a few hundred bits); reject
-#: them instead of allocating giant per-block scratch arrays.
+#: Largest module span (``hi``) the lane evaluator accepts.  No lane
+#: scales with ``hi``, but every block boundary re-admits up to ``hi``
+#: carried tokens one by one; spans beyond this are absurd for real
+#: rulesets (the hardware bit vector is a few hundred bits).
 MAX_VECTOR_SPAN = 1 << 16
 
 
@@ -164,7 +167,7 @@ def _try_absorb(
         if plan.fst_mods or plan.lst_mods:
             return None
     # s's enable sources must equal the module's `pre` sources, so
-    # "s entered with a latched pre" is exactly "some upstream source
+    # "s came in with a latched pre" is exactly "some upstream source
     # fired last cycle" -- the closed forms lean on that equivalence.
     if set(preds[s]) != set(plan.pre_stes):
         return None
@@ -383,38 +386,37 @@ def _nonzero_or_none(np, lane):
     return lane
 
 
-def eval_module(np, plan, blen, occ, mod_out, mod_aux, memb, enabled_bit, scalar, acc):
+def eval_module(np, plan, lanes, scalar):
     """Evaluate one module over a block.
+
+    ``lanes`` is the sweep's per-block context: ``blen``, the ``occ`` /
+    ``mod_out`` / ``mod_aux`` lanes published so far, ``memb_for(s)`` /
+    ``breaks_for(s)`` (an absorbed body STE's membership lane and its
+    sorted break positions, cached per class row) and the stats deltas
+    ``acc = [counter_ops, bv_ops, bv_weighted]``.
 
     Returns ``(s_occ, out_lane, aux_lane, pre_last)``: the absorbed
     body STE's occupancy (``None`` for free-standing modules or when it
     never fires), the ``en_out`` / auxiliary output lanes (``None``
     when silent), and whether ``pre`` was pulsed on the block's last
-    position.  Stats deltas go into ``acc = [counter_ops, bv_ops,
-    bv_weighted]``; module registers / dirty bookkeeping are written
-    back to ``scalar`` directly.
+    position.  Module registers / dirty bookkeeping are written back to
+    ``scalar`` directly.
     """
     m = plan.index
+    occ, mod_out, mod_aux = lanes.occ, lanes.mod_out, lanes.mod_aux
     prep = _gather(np, plan.pre_stes, plan.pre_mods, occ, mod_out, mod_aux)
     pre_last = prep is not None and bool(prep[-1])
     pre0 = scalar._pre[m]
 
     if plan.kind == KIND_COUNTER:
         if plan.absorbed is not None:
-            return _eval_counter_absorbed(
-                np, plan, blen, memb, prep, pre0, enabled_bit, scalar, acc, pre_last
-            )
-        return _eval_counter_free(
-            np, plan, blen, occ, mod_out, mod_aux, prep, pre0, scalar, acc, pre_last
-        )
+            return _eval_counter_absorbed(np, plan, lanes, prep, pre0, scalar, pre_last)
+        return _eval_counter_free(np, plan, lanes, prep, pre0, scalar, pre_last)
     if plan.absorbed is not None:
-        return _eval_bv(
-            np, plan, blen, memb, prep, pre0, scalar, acc, pre_last, absorbed=True
-        )
-    body = _gather(np, plan.body_stes, plan.body_mods, occ, mod_out, mod_aux)
-    return _eval_bv(
-        np, plan, blen, body, prep, pre0, scalar, acc, pre_last, absorbed=False
-    )
+        body = lanes.memb_for(plan.absorbed)
+    else:
+        body = _gather(np, plan.body_stes, plan.body_mods, occ, mod_out, mod_aux)
+    return _eval_bv(np, plan, lanes, body, prep, pre0, scalar, pre_last)
 
 
 def _pre_lane(np, blen, prep, pre0):
@@ -427,12 +429,39 @@ def _pre_lane(np, blen, prep, pre0):
     return lane
 
 
-def _eval_counter_free(
-    np, plan, blen, occ, mod_out, mod_aux, prep, pre0, scalar, acc, pre_last
-):
+def _token_runs(np, e, hi, brk):
+    """First and last block position each token of ``e`` holds: from
+    where it came in (virtual tokens, negative ``e``, from the block's
+    first position) until ``hi - 1`` steps on or just before its body
+    run breaks.  ``brk`` is the body lane's sorted break positions plus
+    the sentinel ``blen``."""
+    first = np.maximum(e, 0)
+    return first, np.minimum(e + (hi - 1), brk[np.searchsorted(brk, first)] - 1)
+
+
+def _paint(np, blen, starts, ends):
+    """The union of the closed intervals ``[starts[i], ends[i]]`` as a
+    bool lane, ``None`` when it is empty.  Both arrays are
+    non-decreasing and inside the block; members may be empty
+    (``end < start``), touch or overlap.  Costs O(intervals + painted
+    positions), never O(block)."""
+    starts = starts.copy()
+    np.maximum(starts[1:], ends[:-1] + 1, out=starts[1:])  # make disjoint
+    lens = np.maximum(ends - starts + 1, 0)
+    stops = lens.cumsum()
+    if not (len(stops) and stops[-1]):
+        return None
+    lane = np.zeros(blen, dtype=bool)
+    lane[np.arange(stops[-1]) + (starts - (stops - lens)).repeat(lens)] = True
+    return lane
+
+
+def _eval_counter_free(np, plan, lanes, prep, pre0, scalar, pre_last):
     """Free-standing counter: inputs are ordinary lanes, the register
     follows ``fst`` pulses by prefix sums with reset-wins gathers."""
     m = plan.index
+    blen, acc = lanes.blen, lanes.acc
+    occ, mod_out, mod_aux = lanes.occ, lanes.mod_out, lanes.mod_aux
     fst = _gather(np, plan.fst_stes, plan.fst_mods, occ, mod_out, mod_aux)
     lst = _gather(np, plan.lst_stes, plan.lst_mods, occ, mod_out, mod_aux)
     c_in = scalar._counts[m]
@@ -469,75 +498,67 @@ def _eval_counter_free(
     return None, _nonzero_or_none(np, out), _nonzero_or_none(np, aux), pre_last
 
 
-def _eval_counter_absorbed(
-    np, plan, blen, memb, prep, pre0, enabled_bit, scalar, acc, pre_last
-):
+def _eval_counter_absorbed(np, plan, lanes, prep, pre0, scalar, pre_last):
     """Counter fused with its single body STE ``s``.
 
-    ``s`` holds (and the counter counts) exactly while the latest entry
-    -- a `pre` pulse landing on a membership run -- is at most ``hi-1``
-    positions back within that run; its register is the entry's age.
-    The carried register becomes a virtual entry at a negative position
-    on a ``hi``-wide lane extension, gated on ``s``'s carried enable
-    bit (a carried enable implies ``count < hi``: it came from
-    ``en_fst``, which fires only below ``hi``).
+    ``s`` holds (and the counter counts) from an entry -- a `pre` pulse
+    landing on a membership run -- until the run breaks, ``hi``
+    positions pass or the next entry supersedes it; the register is
+    the entry's age.  The carried register is a virtual entry ``c_in``
+    positions before the block, gated on ``s``'s carried enable bit (a
+    carried enable implies ``count < hi``: it came from ``en_fst``,
+    which fires only below ``hi``).
     """
     m = plan.index
-    hi = plan.hi
-    c_in = scalar._counts[m]
+    s = plan.absorbed
+    lo, hi = plan.lo, plan.hi
+    blen = lanes.blen
+    enabled_bit = (scalar._enabled >> s) & 1
     if prep is None and not pre0 and not enabled_bit:
         _settle(scalar, m, False, pre_last)
         return None, None, None, pre_last
 
-    pre = _pre_lane(np, blen, prep, pre0)
-    ent = memb & pre
-    if not ent.any() and not (enabled_bit and not pre0 and memb[0]):
+    memb = lanes.memb_for(s)
+    e = np.flatnonzero(memb & _pre_lane(np, blen, prep, pre0))
+    if enabled_bit and not pre0 and memb[0]:
+        e = np.concatenate(([-scalar._counts[m]], e))
+    if not len(e):
         _settle(scalar, m, False, pre_last)
         return None, None, None, pre_last
 
-    W = hi
-    exlen = W + blen
-    ente = np.zeros(exlen, dtype=bool)
-    ente[W:] = ent
-    if enabled_bit and not pre0:
-        ente[W - min(c_in, W)] = True
-    membe = np.ones(exlen, dtype=bool)
-    membe[W:] = memb
-    idxe = np.arange(-W, blen)
-    rs = np.maximum.accumulate(np.where(membe, -W, idxe + 1))
-    le = np.maximum.accumulate(np.where(ente, idxe, -W - 1))
-    t = idxe[W:]
-    le_in = le[W:]
-    window_lo = np.maximum(t - (hi - 1), rs[W:])
-    s_occ = memb & (le_in >= window_lo)
-    if not s_occ.any():
+    first, g = _token_runs(np, e, hi, lanes.breaks_for(s))
+    np.minimum(g[:-1], e[1:] - 1, out=g[:-1])  # the latest entry supersedes
+    s_occ = _paint(np, blen, first, g)
+    if s_occ is None:
         _settle(scalar, m, False, pre_last)
         return None, None, None, pre_last
-
-    count = t - le_in + 1
-    out = s_occ & (count >= plan.lo)
-    aux = s_occ & (count < hi)
-    acc[0] += int(np.count_nonzero(s_occ))  # fst and lst pulse together
-    last_active = blen - 1 - int(np.argmax(s_occ[::-1]))
-    scalar._counts[m] = int(count[last_active])
+    out = _paint(np, blen, np.maximum(e + (lo - 1), 0), g)
+    aux = _paint(np, blen, first, np.minimum(g, e + (hi - 2)))
+    lanes.acc[0] += int(np.count_nonzero(s_occ))  # fst and lst pulse together
+    # real entries always hold their own position, so the last interval
+    # is the last live one
+    scalar._counts[m] = int(g[-1] - e[-1]) + 1
     _settle(scalar, m, False, pre_last)
-    return s_occ, _nonzero_or_none(np, out), _nonzero_or_none(np, aux), pre_last
+    return s_occ, out, aux, pre_last
 
 
-def _eval_bv(np, plan, blen, body, prep, pre0, scalar, acc, pre_last, absorbed):
+def _eval_bv(np, plan, lanes, body, prep, pre0, scalar, pre_last):
     """Bit vector, fused or free-standing.
 
     ``body`` is the body-signal lane: the absorbed body STE's symbol
-    membership (its occupancy *is* the token-aliveness lane the window
-    query computes), or the gathered body-port drivers.  Tokens are the
-    entry lane; every output is a windowed existence query answered via
-    one cumulative sum; carried shift-register bits are virtual entries
-    on the ``hi``-wide lane extension.
+    membership (its occupancy *is* the token-aliveness lane), or the
+    gathered body-port drivers.  Tokens are the positions where a
+    ``body`` signal meets a latched ``pre``, plus the carried
+    shift-register bits as virtual tokens before the block; the three
+    lanes are painted from the tokens' intervals.
     """
     m = plan.index
-    hi = plan.hi
+    lo, hi = plan.lo, plan.hi
+    blen = lanes.blen
+    acc = lanes.acc
+    absorbed = plan.absorbed is not None
     v_in = scalar._bv[m]
-    if body is None and not absorbed:
+    if body is None:
         # no body signals at all: a carried value dies (one op) at the
         # first position, exactly like the interpreter's dirty pass
         if v_in:
@@ -551,12 +572,12 @@ def _eval_bv(np, plan, blen, body, prep, pre0, scalar, acc, pre_last, absorbed):
         return None, None, None, pre_last
 
     if plan.all_input:
-        ent = body
+        e = np.flatnonzero(body)
     else:
-        ent = body & _pre_lane(np, blen, prep, pre0)
-    if v_in == 0 and not ent.any():
+        e = np.flatnonzero(body & _pre_lane(np, blen, prep, pre0))
+    if v_in == 0 and not len(e):
         if not absorbed:
-            # body pulses but nothing ever enters: each pulse is still
+            # body pulses but no token ever comes in: each pulse is still
             # a (shift-of-zero) op in the interpreter's accounting
             pulses = int(np.count_nonzero(body))
             acc[1] += pulses
@@ -567,58 +588,37 @@ def _eval_bv(np, plan, blen, body, prep, pre0, scalar, acc, pre_last, absorbed):
         _settle(scalar, m, plan.all_input, pre_last)
         return None, None, None, pre_last
 
-    W = hi
-    exlen = W + blen
-    ente = np.zeros(exlen, dtype=bool)
-    ente[W:] = ent
-    value = v_in
-    while value:
-        low = value & -value
-        value ^= low
-        j = low.bit_length() - 1  # value j+1 => entered j+1 cycles ago
-        if j < W:
-            ente[W - 1 - j] = True
-    bodye = np.ones(exlen, dtype=bool)
-    bodye[W:] = body
-    idxe = np.arange(-W, blen)
-    rs = np.maximum.accumulate(np.where(bodye, -W, idxe + 1))
-    cum = np.empty(exlen + 1, dtype=np.int64)
-    cum[0] = 0
-    cum[1:] = np.cumsum(ente)
-    t = idxe[W:]
-    rs_in = rs[W:]
-    window_lo = np.maximum(t - (hi - 1), rs_in) + W  # array position of A
-    base = cum[window_lo]
-    nz = body & (cum[t + W + 1] - base > 0)
-    out = body & (cum[t - plan.lo + 1 + W + 1] - base > 0)
-    if hi > 1:
-        aux_lo = np.maximum(t - (hi - 2), rs_in) + W
-        aux = body & (cum[t + W + 1] - cum[aux_lo] > 0)
+    if v_in:
+        # bit j is value j+1 at the last position before the block
+        e = np.concatenate(([-1 - j for j in reversed(_bits(v_in))], e))
+    if absorbed:
+        brk = lanes.breaks_for(plan.absorbed)
     else:
-        aux = None
+        brk = np.append(np.flatnonzero(~body), blen)
+    first, d = _token_runs(np, e, hi, brk)
+    nz = _paint(np, blen, first, d)
+    out = _paint(np, blen, np.maximum(e + (lo - 1), 0), d)
+    aux = _paint(np, blen, first, np.minimum(d, e + (hi - 2)))
 
     # one op per body signal or per carried-value decay step (for the
     # absorbed form the body STE's activity *is* the aliveness lane)
-    prev_nz = np.empty(blen, dtype=bool)
-    prev_nz[0] = v_in != 0
-    prev_nz[1:] = nz[:-1]
+    stepped = np.zeros(blen, dtype=bool)
+    stepped[0] = v_in != 0
+    if nz is not None:
+        stepped[1:] = nz[:-1]
     signals = nz if absorbed else body
-    ops = int(np.count_nonzero(signals | prev_nz))
+    if signals is not None:
+        stepped |= signals
+    ops = int(np.count_nonzero(stepped))
     acc[1] += ops
     acc[2] += plan.weight * ops
 
     T = blen - 1
-    if nz[T]:
-        a = int(window_lo[T])  # array position of the oldest live slot
-        seg = ente[a : T + W + 1]
-        v_out = 0
-        for k in np.flatnonzero(seg).tolist():
-            v_out |= 1 << (T + W - a - k)  # bit = token age at T
-        scalar._bv[m] = v_out
-    else:
-        scalar._bv[m] = 0
+    v_out = 0
+    for age in (T - e[d >= T]).tolist():
+        v_out |= 1 << age  # bit = token age at T, less one
+    scalar._bv[m] = v_out
     _settle(scalar, m, plan.all_input, pre_last)
-    if scalar._bv[m]:
+    if v_out:
         scalar._dirty.add(m)
-    s_occ = nz if absorbed else None
-    return s_occ, _nonzero_or_none(np, out), _nonzero_or_none(np, aux), pre_last
+    return nz if absorbed else None, out, aux, pre_last

@@ -130,6 +130,18 @@ class FeedPool:
     ``asyncio`` code via :func:`asyncio.wrap_future` -- never branch
     on which mode they got.
 
+    ``workers=None`` is **one** thread: scans hold the GIL, so a second
+    scanning thread buys time-slicing between connections, never speed
+    -- and with the ``block`` backend it costs speed.  NumPy drops the
+    GIL around every lane op, so once the kernel has put two scanning
+    threads on different cores they trade the lock at every op
+    (measured on the ``serve40`` benchmark workload: ~16 000 voluntary
+    context switches per 1.3 MB pass, CPU per pass x2.4, throughput
+    6.1 -> 3.1 MB/s, and *which* of the two a pass sees depends on
+    where the scheduler placed the threads).  Core-level scaling is
+    the fleet's job (processes); ask for more threads only to keep a
+    slow session from delaying the others' frames.
+
         >>> from repro.engine.parallel import FeedPool
         >>> with FeedPool(workers=2) as pool:
         ...     pool.submit(sum, [1, 2, 3]).result()
@@ -142,7 +154,8 @@ class FeedPool:
             from concurrent.futures import ThreadPoolExecutor
 
             self._pool = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="repro-feed"
+                max_workers=1 if workers is None else workers,
+                thread_name_prefix="repro-feed",
             )
         except Exception:
             self._pool = None  # degraded: run inline

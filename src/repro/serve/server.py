@@ -387,8 +387,8 @@ class MatchServer:
             backpressure knob (frames in flight before socket reads
             stop).
         workers: thread count of the shared
-            :class:`~repro.engine.parallel.FeedPool` (``None`` lets
-            the pool pick).
+            :class:`~repro.engine.parallel.FeedPool` (``None`` is the
+            pool's default, one thread: scans run one at a time).
         drain_timeout: seconds :meth:`stop` waits for per-connection
             graceful drain before cancelling.
         sock: an already-bound listening socket to serve on instead of

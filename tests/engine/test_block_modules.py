@@ -12,10 +12,13 @@ Three layers of proof that module state is exact under vector sweeps:
   scalar interpreter, exactly, and ``auto`` never picks block for them.
 """
 
+import dataclasses
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import repro.engine.block as block_engine
+import repro.engine.block_modules as block_modules
 from repro.compiler.pipeline import compile_pattern, compile_ruleset
 from repro.engine.backends import resolve_backend
 from repro.engine.block import BlockScanner, BlockSweepStats, _program_for
@@ -44,16 +47,23 @@ def _want(tables, data):
     return reference.finish(), reference.stats
 
 
-def _assert_every_split_exact(tables, data, block_size):
-    """Feed ``data`` split at every possible point; each split must
-    reproduce the one-shot reference exactly, with every block
-    committed by the sweep (the whole point of in-lane execution)."""
+def _assert_every_split_exact(tables, data, block_size, splits=None):
+    """Feed ``data`` split at every possible point (or at ``splits``);
+    each split must reproduce the one-shot reference exactly, with
+    every block committed by the sweep (the whole point of in-lane
+    execution)."""
     want_reports, want_stats = _want(tables, data)
-    for split in range(len(data) + 1):
+    for split in range(len(data) + 1) if splits is None else splits:
         scanner = BlockScanner(tables, block_size=block_size)
         scanner.feed(data[:split])
-        scanner.feed(data[split:])
         context = (data, split, block_size)
+        # the state written back at the cut is the interpreter's own
+        cut = StreamScanner(tables)
+        cut.feed(data[:split])
+        for name in ("_enabled", "_counts", "_bv", "_pre", "_dirty"):
+            got = getattr(scanner._scalar, name)
+            assert got == getattr(cut, name), (name, context)
+        scanner.feed(data[split:])
         assert scanner.finish() == want_reports, context
         assert scanner.stats.equivalent(want_stats), context
         sweep = scanner.sweep_stats
@@ -159,6 +169,94 @@ class TestChunkBoundaryProperties:
         data = b"xa" * hi + b"b" + b"y" * lo + b"cabc"
         _assert_every_split_exact(tables, data, block_size)
 
+    @given(
+        lo=st.integers(min_value=1, max_value=4),
+        extra=st.integers(min_value=0, max_value=3),
+        data=st.binary(min_size=1, max_size=20).map(
+            lambda raw: bytes(b"bxyc"[byte % 4] for byte in raw)
+        ),
+        block_size=st.sampled_from([2, 3, 5]),
+    )
+    # the body breaks at the first / at the last position of a live window
+    @example(lo=2, extra=2, data=b"bxyyc byyc", block_size=3)
+    @example(lo=2, extra=2, data=b"bbyyyxc bbyyxc", block_size=3)
+    @example(lo=3, extra=0, data=b"byyxc byyyc bbyyyc", block_size=2)
+    @example(lo=1, extra=0, data=b"bxc byc bc bbcc", block_size=2)
+    @settings(max_examples=60, deadline=None)
+    def test_breaking_bit_vector_body_across_every_split(
+        self, lo, extra, data, block_size
+    ):
+        tables = _tables(f"b[^x]{{{lo},{lo + extra}}}c")
+        _assert_every_split_exact(tables, data, block_size)
+
+    @pytest.mark.parametrize("block_size", [2, 3, 5, 64])
+    @pytest.mark.parametrize(
+        "shape", ["bit-vector", "all-input", "counter", "counter-lo-is-hi"]
+    )
+    def test_spans_crossing_several_blocks_across_every_split(self, shape, block_size):
+        # hi >= 4 blocks: tokens / the counter register are carried over
+        # three or more boundaries as virtual entries before they fire
+        hi = 4 * block_size + 1
+        if shape == "bit-vector":
+            pattern = f"b.{{{hi - 1},{hi}}}c"
+            data = b"bb" + b"y" * (hi - 2) + b"cccb" + b"y" * hi + b"cc"
+        elif shape == "all-input":
+            pattern = f".{{{hi - 2},{hi}}}z"
+            data = b"ab" * (hi // 2) + b"zz" + b"a" * (hi + 1) + b"z"
+        elif shape == "counter":
+            pattern = f"[^a]a{{2,{hi}}}"
+            data = b"ca" + b"x" + b"a" * (hi + 2) + b"bc"
+        else:
+            pattern = f"[^a]a{{{hi},{hi}}}"
+            data = b"x" + b"a" * (hi - 1) + b"x" + b"a" * (hi + 1) + b"c"
+        tables = _tables(pattern)
+        assert tables.n_modules == 1
+        _assert_every_split_exact(tables, data, block_size)
+
+    @given(
+        lo=st.integers(min_value=1, max_value=4),
+        extra=st.integers(min_value=0, max_value=4),
+        block_size=st.sampled_from([2, 3, 5]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_counter_reentered_inside_its_window(self, lo, extra, block_size):
+        # the second `x` re-arms the counter while the first run is still
+        # below hi: the latest entry supersedes
+        tables = _tables(f"[^a]a{{{lo},{lo + extra}}}")
+        data = b"caxaaxaaaa" + b"a" * extra + b"xab"
+        _assert_every_split_exact(tables, data, block_size)
+
+    @pytest.mark.parametrize("block_size", [2, 3, 5])
+    def test_counter_entry_inside_an_unbroken_run_supersedes(self, block_size):
+        # No compiled counter sees this (the analysis only picks a
+        # counter when an entry implies a broken run), so rewire one:
+        # let the `x` STE that pulses `pre` also match `b`, which the
+        # body [ab] holds on to.  Every `b` restarts the count mid-run.
+        tables = _tables(r"x[ab]{2,6}b")
+        assert tables.module_kinds == [block_modules.KIND_COUNTER]
+        class_a, class_b = tables.byte_class[ord("a")], tables.byte_class[ord("b")]
+        assert class_a != class_b
+        match_masks = list(tables.match_masks)
+        match_masks[class_b] |= tables.match_masks[tables.byte_class[ord("x")]]
+        rewired = dataclasses.replace(tables, match_masks=match_masks)
+        data = b"xaabaaaab xaaaaabab baaaaaaaab"
+        assert _want(rewired, data)[0] != _want(tables, data)[0]
+        _assert_every_split_exact(rewired, data, block_size)
+
+    @given(
+        lo=st.integers(min_value=1, max_value=5),
+        extra=st.integers(min_value=0, max_value=70),
+        raw=st.binary(min_size=1024, max_size=1024),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_dense_entries_with_overlapping_windows(self, lo, extra, raw):
+        # `.` body: every position is an entry, every window overlaps
+        # its neighbours, and z's are everywhere.  Splits 0..64 put the
+        # block grid at every phase of the data.
+        tables = _tables(f".{{{lo},{lo + extra}}}z")
+        data = bytes(b"abxz"[byte % 4] for byte in raw)
+        _assert_every_split_exact(tables, data, 64, splits=range(65))
+
     @pytest.mark.parametrize(
         "pattern, data",
         [
@@ -171,6 +269,45 @@ class TestChunkBoundaryProperties:
         tables = _tables(pattern)
         assert tables.n_modules == 0
         _assert_every_split_exact(tables, data, block_size)
+
+
+class TestPaint:
+    """`_paint` against a naive loop over the same interval list."""
+
+    @given(
+        blen=st.integers(min_value=1, max_value=40),
+        steps=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=6),  # start moves on by
+                st.integers(min_value=0, max_value=6),  # end moves on by
+            ),
+            max_size=12,
+        ),
+        first_end=st.integers(min_value=-3, max_value=5),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_union_of_sorted_intervals(self, blen, steps, first_end):
+        np = block_engine.numpy_or_none()
+        # non-decreasing starts and ends, clipped to the block like the
+        # callers clip them; members come out empty (end < start),
+        # adjacent, overlapping and cut at either block edge
+        starts, ends = [], []
+        start, end = 0, first_end
+        for start_step, end_step in steps:
+            start, end = start + start_step, end + end_step
+            starts.append(min(start, blen - 1))
+            ends.append(min(end, blen - 1))
+        want = [False] * blen
+        for lo, hi in zip(starts, ends):
+            for position in range(lo, hi + 1):
+                want[position] = True
+        lane = block_modules._paint(
+            np, blen, np.array(starts, dtype=np.intp), np.array(ends, dtype=np.intp)
+        )
+        if not any(want):
+            assert lane is None
+        else:
+            assert lane.dtype == bool and lane.tolist() == want
 
 
 class TestSweepStats:

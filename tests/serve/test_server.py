@@ -432,6 +432,23 @@ class TestFeedPool:
             assert not pool.degraded
             assert pool.submit(sum, [1, 2, 3]).result() == 6
 
+    def test_default_pool_runs_one_job_at_a_time(self):
+        # two scanning threads trade the GIL at every NumPy lane op
+        # (FeedPool docstring), so the unsized pool is one thread
+        import threading
+        import time
+
+        names = []
+
+        def job():
+            names.append(threading.current_thread().name)
+            time.sleep(0.01)
+
+        with FeedPool() as pool:
+            for future in [pool.submit(job) for _ in range(4)]:
+                future.result()
+        assert len(names) == 4 and len(set(names)) == 1
+
     def test_exceptions_travel_through_the_future(self):
         with FeedPool(workers=1) as pool:
             future = pool.submit(int, "nope")

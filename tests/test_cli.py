@@ -154,6 +154,16 @@ class TestScan:
         assert "b: 1 match(es)" in out
         assert "c: 1 match(es)" in out
 
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_shards_below_one_is_a_usage_error(self, tmp_path, capsys, count):
+        rules = tmp_path / "rules.txt"
+        rules.write_text("a\tabc\n")
+        for command in (["scan", "--input", str(rules)], ["cluster"]):
+            with pytest.raises(SystemExit) as exit_info:
+                main([*command, "--rules", str(rules), "--shards", count])
+            assert exit_info.value.code == 2
+            assert "--shards: must be >= 1" in capsys.readouterr().err
+
 
 class TestScanStreams:
     def test_interleaved_tagged_streams(self, tmp_path, capsys):
@@ -516,6 +526,32 @@ class TestServeConnect:
         ])
         assert code == 2
         assert "cannot connect" in capsys.readouterr().err
+
+    def test_missing_input_file_is_one_error_line(self, tmp_path, capsys):
+        """scan / connect / cluster --attach: exit 2 and one `error:`
+        line naming the file, never a FileNotFoundError traceback."""
+        from repro.matching import RulesetMatcher
+
+        rules = tmp_path / "rules.txt"
+        rules.write_text("hit\tabc\n")
+        missing = str(tmp_path / "no-such-input.txt")
+        port, stop = self._live_server(RulesetMatcher([("hit", "abc")]))
+        try:
+            for command in (
+                ["scan", "--rules", str(rules)],
+                ["scan", "--rules", str(rules), "--streams"],
+                ["connect", "--port", str(port)],
+                ["cluster", "--attach", f"127.0.0.1:{port}"],
+            ):
+                assert main([*command, "--input", missing]) == 2, command
+                captured = capsys.readouterr()
+                assert captured.out == "", command
+                lines = captured.err.splitlines()
+                assert len(lines) == 1, (command, lines)
+                assert lines[0].startswith("error: cannot read --input:")
+                assert "no-such-input.txt" in lines[0]
+        finally:
+            stop()
 
     def test_serve_bind_failure_is_one_clean_line(self, tmp_path, capsys):
         """A taken port yields one `error:` line and exit 2 -- no
