@@ -445,6 +445,12 @@ def _cmd_compile(args) -> int:
     return 0
 
 
+def _phases_text(info) -> str:
+    """``CompileInfo.phases`` on one line, largest share first."""
+    ranked = sorted(info.phases.items(), key=lambda item: -item[1])
+    return ", ".join(f"{name} {seconds * 1e3:.1f} ms" for name, seconds in ranked)
+
+
 def _compile_rules(args) -> int:
     """``compile --rules``: build (and optionally cache) a ruleset."""
     matcher = RulesetMatcher(_read_rules(args.rules), **_compile_options(args))
@@ -467,6 +473,7 @@ def _compile_rules(args) -> int:
         f"{resources.merged_stes} STEs merged, "
         f"{resources.removed_nodes} dead nodes removed"
     )
+    print(f"  phases: {_phases_text(info)}")
     for rule_id, reason in matcher.skipped:
         print(f"  skipped {rule_id}: {reason}", file=sys.stderr)
     if info.cache_path:
@@ -542,7 +549,7 @@ def _cmd_scan(args) -> int:
             source = "cache hit (warm start)" if info.cache_hit else "fresh compile"
             print(
                 f"{shard}compiled in {info.seconds * 1e3:.1f} ms "
-                f"[{source}, -O{info.opt_level}]",
+                f"[{source}, -O{info.opt_level}; {_phases_text(info)}]",
                 file=sys.stderr,
             )
         for rule_id, reason in matcher.skipped:
@@ -1042,9 +1049,10 @@ def _cmd_rules(args) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = loaded.report
     compile_block = None
     if args.compile or args.cache_dir:
+        # before anything reads ``loaded.report``: with a cache_dir the
+        # triage itself comes from the cache
         matcher, report = loaded.compile(**_compile_options(args))
         info = matcher.compile_info
         resources = matcher.resources()
@@ -1053,11 +1061,14 @@ def _cmd_rules(args) -> int:
             "seconds": info.seconds,
             "opt_level": info.opt_level,
             "cache_path": info.cache_path,
+            "phases": info.phases,
             "rules_compiled": resources.rules_compiled,
             "stes": resources.stes,
             "counters": resources.counters,
             "bit_vectors": resources.bit_vectors,
         }
+    else:
+        report = loaded.report
 
     if args.json:
         document = report.as_dict()

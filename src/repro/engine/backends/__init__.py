@@ -35,6 +35,7 @@ from .registry import (
     backend_names,
     engine_choices,
     get_backend,
+    prepare_backends,
     register_backend,
     resolve_backend,
     unknown_engine_error,
@@ -55,6 +56,7 @@ __all__ = [
     "backend_names",
     "engine_choices",
     "get_backend",
+    "prepare_backends",
     "register_backend",
     "resolve_backend",
     "unknown_engine_error",

@@ -100,6 +100,13 @@ class Backend(ABC):
         """
         return None
 
+    def prepare(self, tables: TransitionTables) -> None:
+        """Derive, once, whatever :meth:`make_scanner` would otherwise
+        derive from ``tables`` on first use, and keep it in
+        ``tables.prepared`` -- the compile path calls this before it
+        writes a cache artifact, so a warm start loads the result.
+        Default: nothing to prepare."""
+
     @abstractmethod
     def make_scanner(self, tables: TransitionTables):
         """A fresh scanner over ``tables`` (see module docstring)."""

@@ -40,8 +40,11 @@ class BlockBackend(Backend):
             return False, block_engine.numpy_unavailable_reason()
         return True, None
 
+    def prepare(self, tables: TransitionTables) -> None:
+        block_engine.BlockScanner.can_sweep(tables)  # builds and keeps the program
+
     def auto_priority(self, tables: TransitionTables) -> Optional[int]:
-        # the verdict is cached per tables object: free after the first ask
+        # the verdict is kept on the tables: free after the first ask
         return 30 if block_engine.BlockScanner.can_sweep(tables) else None
 
     def make_scanner(self, tables: TransitionTables) -> "block_engine.BlockScanner":

@@ -25,6 +25,7 @@ __all__ = [
     "engine_choices",
     "available_backends",
     "validated_backend_names",
+    "prepare_backends",
     "unknown_engine_error",
 ]
 
@@ -156,3 +157,12 @@ def validated_backend_names(tables: TransitionTables) -> list[str]:
         for backend in _BACKENDS.values()
         if backend.available and backend.applicable(tables)
     ]
+
+
+def prepare_backends(tables: TransitionTables) -> None:
+    """Fill ``tables.prepared`` for every backend validated for
+    ``tables`` (:meth:`Backend.prepare`): the compile path's last step
+    before a cache artifact is written, so a warm start's scanners are
+    built from loaded state."""
+    for name in validated_backend_names(tables):
+        _BACKENDS[name].prepare(tables)

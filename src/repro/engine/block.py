@@ -56,8 +56,10 @@ equal to the interpreter's.
 One static verdict
 ------------------
 Like the paper's compiler choosing counter / bit vector / unfolding
-per occurrence, the strategy is decided once per tables object, at
-program build, and never revisited at run time:
+per occurrence, the strategy is decided once per tables, at program
+build, and never revisited at run time -- the program (verdict
+included) is kept in ``tables.prepared``, so it is built on the compile
+path, stored in the cache artifact and loaded by a warm start:
 :func:`block_modules.analyze` orders STEs and modules into one acyclic
 step list (an STE-only table is simply the module-free case of it), or
 rejects the tables -- nested counting, multi-STE counter bodies, STE
@@ -75,7 +77,6 @@ when the import failed.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from typing import Optional
 
@@ -119,8 +120,9 @@ def numpy_unavailable_reason() -> Optional[str]:
 
 
 class _BlockProgram:
-    """Per-tables sweep verdict and derived arrays, shared by every
-    :class:`BlockScanner` over the same tables via :func:`_program_for`.
+    """Per-tables sweep verdict and derived arrays, kept in
+    ``tables.prepared`` and shared by every :class:`BlockScanner` over
+    the same tables via :func:`_program_for`.
 
     ``sweep_ok`` is the one verdict: :func:`block_modules.analyze`
     ordered STEs and modules into ``steps``, or rejected the tables
@@ -156,11 +158,7 @@ class _BlockProgram:
         succ_lists: list[list[int]] = [[] for _ in range(n)]
         has_self = [False] * n
         for i in range(n):
-            mask = succ[i]
-            while mask:
-                low = mask & -mask
-                mask ^= low
-                j = low.bit_length() - 1
+            for j in block_modules._bits(succ[i]):
                 if j == i:
                     has_self[i] = True
                 else:
@@ -208,11 +206,7 @@ class _BlockProgram:
         # row, so the per-block membership lane is built once per set
         match_rows = np.zeros((max(n, 1), tables.n_classes or 1), dtype=bool)
         for c, mask in enumerate(tables.match_masks):
-            m = mask
-            while m:
-                low = m & -m
-                m ^= low
-                match_rows[low.bit_length() - 1, c] = True
+            match_rows[block_modules._bits(mask), c] = True
         row_index: dict[bytes, int] = {}
         self.row_of = [0] * n
         for i in range(n):
@@ -226,26 +220,29 @@ class _BlockProgram:
             int(row.argmax()) if row.sum() == 1 else -1 for row in self.uniq_rows
         ]
 
+    def __getstate__(self):
+        # stored programs are read by processes without NumPy too:
+        # builtins and repro classes only, ``uniq_rows`` as shape + bytes
+        state = {k: getattr(self, k) for k in self.__slots__ if hasattr(self, k)}
+        rows = state.get("uniq_rows")
+        if rows is not None and not isinstance(rows, tuple):
+            state["uniq_rows"] = (rows.shape, rows.tobytes())
+        return None, state
+
 
 def _mask_flags(mask: int, n: int) -> list[bool]:
     return [bool((mask >> i) & 1) for i in range(n)]
 
 
-# Programs are cached per tables object (keyed by id, cleaned up by a
-# weakref finalizer) so repeated make_scanner calls over one compiled
-# ruleset -- the facade builds a scanner per scan -- do not rebuild
-# the graph.  TransitionTables is an eq-comparing dataclass and hence
-# unhashable, so a WeakKeyDictionary is not an option.
-_PROGRAMS: dict[int, _BlockProgram] = {}
-
-
 def _program_for(tables: TransitionTables) -> _BlockProgram:
-    key = id(tables)
-    program = _PROGRAMS.get(key)
+    """The program kept on ``tables``, built on first ask; a stored one
+    (cache artifact, pool worker) gets its ``uniq_rows`` array back."""
+    program = tables.prepared.get("block")
     if program is None:
-        program = _BlockProgram(tables)
-        _PROGRAMS[key] = program
-        weakref.finalize(tables, _PROGRAMS.pop, key, None)
+        program = tables.prepared["block"] = _BlockProgram(tables)
+    elif program.sweep_ok and isinstance(program.uniq_rows, tuple):
+        shape, raw = program.uniq_rows
+        program.uniq_rows = _np.frombuffer(raw, dtype=bool).reshape(shape)
     return program
 
 
@@ -349,7 +346,7 @@ class BlockScanner:
     @staticmethod
     def can_sweep(tables: TransitionTables) -> bool:
         """Did the static analysis accept ``tables`` for the vector
-        sweep?  Decided once per tables object (and cached); when
+        sweep?  Decided once per tables (and kept on them); when
         False a :class:`BlockScanner` over them is the scalar
         interpreter at scalar speed.  Requires NumPy."""
         return _program_for(tables).sweep_ok

@@ -29,7 +29,8 @@ equivalence with the reference simulator: identical distinct
 accounting is unchanged).  ``tests/engine/`` asserts both.
 
 All fields are plain ints/lists/tuples, so tables pickle cheaply to
-worker processes (see :mod:`repro.engine.parallel`).
+worker processes (see :mod:`repro.engine.parallel`) -- and carry
+``prepared``, the backends' derived scan programs, with them.
 """
 
 from __future__ import annotations
@@ -151,6 +152,15 @@ class TransitionTables:
     #: resolved anywhere the tables travel -- including pickled cache
     #: artifacts and worker processes.  ``None`` for hand-built tables.
     network: Optional[Network] = None
+
+    #: backend name -> that backend's table-derived, scan-invariant
+    #: state (the block backend's sweep program), filled by
+    #: ``Backend.prepare`` / on first scanner construction and read by
+    #: every scanner over these tables.  It is a function of the fields
+    #: above, so it takes no part in equality; it travels wherever the
+    #: tables are pickled (cache artifacts, pool workers), which is why
+    #: what backends put here holds builtins and ``repro`` classes only.
+    prepared: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def n_stes(self) -> int:

@@ -53,6 +53,7 @@ Reporting semantics (shared by every scan entry point)
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -71,6 +72,7 @@ from .compiler.passes import OptimizationReport, compute_alphabet_classes
 from .compiler.pipeline import CompiledRuleset, compile_ruleset, normalize_sourced
 from .engine.backends import (
     AUTO_ENGINE,
+    prepare_backends,
     resolve_backend,
     validated_backend_names,
 )
@@ -160,24 +162,45 @@ class ResourceSummary:
 class CompileInfo:
     """How a :class:`RulesetMatcher` obtained its compiled form."""
 
-    #: artifact loaded from the persistent cache (parsing/analysis/
-    #: emission all skipped)?
+    #: artifact loaded from the persistent cache (parsing, analysis,
+    #: emission, lowering, mapping and backend preparation all skipped)?
     cache_hit: bool
-    #: wall-clock seconds spent producing the ready-to-scan state
+    #: wall-clock seconds spent producing the ready-to-scan state.  With
+    #: a ``cache_dir`` that is all of it -- the scan program is built
+    #: (cold) or loaded (warm) here, not on the first scan; without one,
+    #: table lowering and backend preparation stay lazy and are paid by
+    #: the first scan instead.
     seconds: float
     opt_level: int
     #: artifact file backing this matcher (None when uncached)
     cache_path: Optional[str] = None
+    #: where ``seconds`` went, by phase -- ``triage`` (rules frontend),
+    #: ``compile``, ``lower``, ``map``, ``prepare``, ``load``, ``save``
+    #: -- holding only the phases that ran (``load`` is the cache probe,
+    #: hit or miss): a cache hit is ``{"load": ...}`` and nothing else
+    phases: dict[str, float] = field(default_factory=dict)
+
+
+@contextmanager
+def timed_phase(phases: dict[str, float], name: str) -> Iterator[None]:
+    """Add the wall-clock seconds of the ``with`` body to
+    ``phases[name]`` (the bookkeeping behind :attr:`CompileInfo.phases`)."""
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        phases[name] = phases.get(name, 0.0) + time.perf_counter() - start
 
 
 def merge_compile_infos(infos: Sequence[CompileInfo]) -> CompileInfo:
     """Aggregate per-shard :class:`CompileInfo` into one summary.
 
-    Seconds sum (each shard compiled its own slice), ``cache_hit`` is
-    true only when *every* shard warm-started, ``opt_level`` is the
-    highest level any shard ran, and ``cache_path`` is kept only when
-    the shards agree (a single-matcher merge) -- a sharded compilation
-    is backed by many artifacts, reachable per shard via
+    Seconds and per-phase seconds sum (each shard compiled its own
+    slice), ``cache_hit`` is true only when *every* shard warm-started,
+    ``opt_level`` is the highest level any shard ran, and ``cache_path``
+    is kept only when the shards agree (a single-matcher merge) -- a
+    sharded compilation is backed by many artifacts, reachable per
+    shard via
     :attr:`~repro.engine.parallel.ShardedMatcher.compile_infos`.
     An empty sequence raises -- unlike
     :func:`~repro.engine.parallel.merge_scan_results` there is no
@@ -186,11 +209,16 @@ def merge_compile_infos(infos: Sequence[CompileInfo]) -> CompileInfo:
     if not infos:
         raise ValueError("nothing to merge")
     paths = {info.cache_path for info in infos}
+    phases: dict[str, float] = {}
+    for info in infos:
+        for name, seconds in info.phases.items():
+            phases[name] = phases.get(name, 0.0) + seconds
     return CompileInfo(
         cache_hit=all(info.cache_hit for info in infos),
         seconds=sum(info.seconds for info in infos),
         opt_level=max(info.opt_level for info in infos),
         cache_path=paths.pop() if len(paths) == 1 else None,
+        phases=phases,
     )
 
 
@@ -232,10 +260,11 @@ class RulesetMatcher(LocalMatcher):
             show up in :meth:`resources`).
         cache_dir: directory for the persistent compiled-ruleset cache.
             On a key hit (same rules *and* same compile options) the
-            matcher warm-starts from the pickled artifact, skipping
-            parsing, analysis, emission, and table lowering entirely;
-            otherwise it compiles and writes the artifact.  See
-            :attr:`compile_info` for what happened.
+            matcher warm-starts from the stored artifact -- a pure
+            load: parsing, analysis, emission, table lowering, CAMA
+            mapping and the backends' scan-program build are all
+            skipped; otherwise it does all of those once and writes
+            the artifact.  See :attr:`compile_info` for what happened.
 
     Reporting semantics (all scan entry points): 1-based end offsets,
     no zero-length matches, ``$`` gated to end-of-data -- see the
@@ -271,6 +300,7 @@ class RulesetMatcher(LocalMatcher):
         # compile-time skip reasons (and the cache key) carry it
         named = normalize_sourced(rules)
 
+        phases: dict[str, float] = {}
         cache_path: Optional[str] = None
         artifact: Optional[RulesetArtifact] = None
         if cache_dir is not None:
@@ -283,7 +313,8 @@ class RulesetMatcher(LocalMatcher):
                 opt_level=opt_level,
             )
             cache_path = artifact_path(cache_dir, key)
-            artifact = load_artifact(cache_dir, key)
+            with timed_phase(phases, "load"):
+                artifact = load_artifact(cache_dir, key)
 
         #: full compile-time state; ``None`` on a cache hit (the slim
         #: artifact carries everything the facade needs)
@@ -296,15 +327,17 @@ class RulesetMatcher(LocalMatcher):
             self._skipped: list[tuple[str, str]] = artifact.skipped
             self.optimization: Optional[OptimizationReport] = artifact.optimization
             self._validated_backends = list(artifact.backends)
+            self.mapping: NetworkMapping = artifact.mapping
         else:
-            self.ruleset = compile_ruleset(
-                named,
-                unfold_threshold=unfold_threshold,
-                method=method,
-                strict_modules=strict_modules,
-                max_pairs=max_pairs,
-                opt_level=opt_level,
-            )
+            with timed_phase(phases, "compile"):
+                self.ruleset = compile_ruleset(
+                    named,
+                    unfold_threshold=unfold_threshold,
+                    method=method,
+                    strict_modules=strict_modules,
+                    max_pairs=max_pairs,
+                    opt_level=opt_level,
+                )
             self.network = self.ruleset.network
             self._tables = None
             self._rule_meta = [
@@ -318,25 +351,34 @@ class RulesetMatcher(LocalMatcher):
             ]
             self._skipped = self.ruleset.skipped
             self.optimization = self.ruleset.optimization
+            with timed_phase(phases, "map"):
+                self.mapping = map_network(self.network)
             if cache_dir is not None:
-                cache_path = save_artifact(
-                    RulesetArtifact(
-                        version=CACHE_VERSION,
-                        key=key,
-                        network=self.network,
-                        tables=self.tables,  # forces lowering into the artifact
-                        rules=self._rule_meta,
-                        skipped=self._skipped,
-                        opt_level=opt_level,
-                        optimization=self.optimization,
-                        # which execution backends these tables were
-                        # validated against at compile time
-                        backends=validated_backend_names(self.tables),
-                    ),
-                    cache_dir,
-                )
+                # the artifact holds everything a scan needs: lowering
+                # and the backends' scan programs are forced into it
+                with timed_phase(phases, "lower"):
+                    tables = self.tables
+                with timed_phase(phases, "prepare"):
+                    prepare_backends(tables)
+                with timed_phase(phases, "save"):
+                    cache_path = save_artifact(
+                        RulesetArtifact(
+                            version=CACHE_VERSION,
+                            key=key,
+                            network=self.network,
+                            tables=tables,
+                            mapping=self.mapping,
+                            rules=self._rule_meta,
+                            skipped=self._skipped,
+                            opt_level=opt_level,
+                            optimization=self.optimization,
+                            # which execution backends these tables
+                            # were validated against at compile time
+                            backends=validated_backend_names(tables),
+                        ),
+                        cache_dir,
+                    )
 
-        self.mapping: NetworkMapping = map_network(self.network)
         self._area: AreaReport = area_of_mapping(self.mapping)
         self._opt_level = opt_level
         self._alphabet_classes: Optional[int] = None
@@ -353,6 +395,7 @@ class RulesetMatcher(LocalMatcher):
             seconds=time.perf_counter() - start,
             opt_level=opt_level,
             cache_path=cache_path,
+            phases=phases,
         )
 
     # -- introspection -----------------------------------------------------

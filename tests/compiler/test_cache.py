@@ -1,21 +1,35 @@
 """The persistent compiled-ruleset cache (repro.compiler.cache).
 
 Round-trip: save -> load -> identical scan results, with warm starts
-skipping compilation entirely.  Invalidation: any option or rule change
-(and any version skew or corruption) must miss, never poison.
+a pure load (nothing re-derived, nothing written).  Invalidation: any
+option or rule change (and any version skew or corruption) must miss,
+never poison -- and a crafted entry is a miss, never an import.
 """
 
+import importlib
+import json
 import os
 import pickle
+import subprocess
+import sys
 
 import pytest
 
+import repro.engine.block as block_engine
 from repro.compiler import cache as cache_mod
 from repro.compiler.cache import (
     load_artifact,
     ruleset_cache_key,
 )
-from repro.matching import RulesetMatcher
+from repro.engine.parallel import ShardedMatcher
+from repro.matching import RulesetMatcher, merge_compile_infos
+from repro.rules import load_rules_text
+from tests.helpers import forbid_rederivation
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+needs_numpy = pytest.mark.skipif(
+    block_engine.numpy_or_none() is None, reason="numpy not installed"
+)
 
 RULES = [
     ("r1", r"ab{2,5}c"),
@@ -25,6 +39,23 @@ RULES = [
     ("bad", r"(a)\1"),
 ]
 DATA = b"zabbbc abbd xyz abbbbd qqq xyz"
+
+RULES_TEXT = """
+alert tcp any any -> any 80 (msg:"literal"; content:"GET /admin"; sid:1;)
+alert tcp any any -> any 21 (msg:"counted"; pcre:"/RETR [a-z]{3,12}x/"; sid:2;)
+alert tcp any any -> any 25 (msg:"gap"; content:"MAIL"; content:"evil"; distance:1; within:9; sid:3;)
+alert tcp any any -> any any (msg:"backreference"; pcre:"/(user)\\1/"; sid:4;)
+this line is a syntax error
+"""
+TEXT_DATA = b"GET /admin RETR abcdx MAIL..evil RETR abx"
+
+
+def _listing(cache_dir):
+    """File names, sizes and mtimes: what "wrote nothing" is held to."""
+    return sorted(
+        (entry.name, entry.stat().st_size, entry.stat().st_mtime_ns)
+        for entry in os.scandir(cache_dir)
+    )
 
 
 class TestCacheKey:
@@ -73,6 +104,11 @@ class TestRoundTrip:
         assert warm.skipped == cold.skipped
         assert warm.empty_match_rules() == cold.empty_match_rules()
         assert warm.resources() == cold.resources()
+        # the stored mapping prices a scan exactly as the derived one
+        assert warm.mapping == cold.mapping
+        assert (
+            warm.scan(DATA).energy_nj_per_byte == cold.scan(DATA).energy_nj_per_byte
+        )
         # the reference engine still works from the cached network
         assert warm.scan(DATA, engine="reference") == cold.scan(DATA)
 
@@ -104,8 +140,6 @@ class TestRoundTrip:
         assert artifact_path(cache_dir, artifact.key) == cold.compile_info.cache_path
 
     def test_sharded_matchers_cache_per_shard(self, tmp_path):
-        from repro.engine.parallel import ShardedMatcher
-
         cache_dir = str(tmp_path)
         cold = ShardedMatcher(RULES, shards=2, cache_dir=cache_dir)
         warm = ShardedMatcher(RULES, shards=2, cache_dir=cache_dir)
@@ -150,6 +184,68 @@ class TestInvalidation:
             pickle.dump({"not": "an artifact"}, handle)
         assert not RulesetMatcher(RULES, cache_dir=cache_dir).compile_info.cache_hit
 
+    @pytest.mark.parametrize(
+        "target, argument",
+        [
+            ("os.system", "touch {side}"),
+            ("subprocess.check_call", ["touch", "{side}"]),
+            ("builtins.exec", "open({side!r}, 'w').close()"),
+            ("builtins.eval", "open({side!r}, 'w').close()"),
+        ],
+    )
+    def test_crafted_artifact_is_a_miss_not_an_import(
+        self, tmp_path, target, argument
+    ):
+        cache_dir = str(tmp_path / "cache")
+        side = str(tmp_path / "side-effect")
+        cold = RulesetMatcher(RULES, cache_dir=cache_dir)
+        module, name = target.rsplit(".", 1)
+        function = getattr(importlib.import_module(module), name)
+        if isinstance(argument, list):
+            argument = [part.format(side=side) for part in argument]
+        else:
+            argument = argument.format(side=side)
+
+        class Payload:
+            def __reduce__(self):
+                return function, (argument,)
+
+        with open(cold.compile_info.cache_path, "wb") as handle:
+            pickle.dump(Payload(), handle)
+        recovered = RulesetMatcher(RULES, cache_dir=cache_dir)
+        assert not os.path.exists(side)  # the payload never ran
+        assert not recovered.compile_info.cache_hit
+        assert recovered.scan(DATA) == cold.scan(DATA)
+        # ... and the overwrite repaired the entry
+        assert RulesetMatcher(RULES, cache_dir=cache_dir).compile_info.cache_hit
+
+    def test_crafted_triage_entry_is_a_miss_not_an_import(self, tmp_path):
+        cache_dir = str(tmp_path / "cache")
+        side = str(tmp_path / "side-effect")
+        load_rules_text(RULES_TEXT).compile(cache_dir=cache_dir)
+        (entry,) = [n for n in os.listdir(cache_dir) if n.startswith("triage-")]
+
+        class Payload:
+            def __reduce__(self):
+                return os.system, (f"touch {side}",)
+
+        with open(os.path.join(cache_dir, entry), "wb") as handle:
+            pickle.dump(Payload(), handle)
+        matcher, report = load_rules_text(RULES_TEXT).compile(cache_dir=cache_dir)
+        assert not os.path.exists(side)
+        assert "triage" in matcher.compile_info.phases  # re-triaged ...
+        assert matcher.compile_info.cache_hit  # ... onto the same artifact
+        assert report.counts == {"compiled": 2, "rewritten": 1, "rejected": 2}
+        warm, _ = load_rules_text(RULES_TEXT).compile(cache_dir=cache_dir)
+        assert set(warm.compile_info.phases) == {"load"}
+
+    def test_allow_list_names_real_classes(self):
+        # a renamed or moved class must fail here, not as a silent
+        # permanent cache miss
+        for module, name in cache_mod._ALLOWED_GLOBALS:
+            assert module.startswith("repro.")
+            assert isinstance(getattr(importlib.import_module(module), name), type)
+
     def test_version_skew_is_a_miss(self, tmp_path, monkeypatch):
         cache_dir = str(tmp_path)
         cold = RulesetMatcher(RULES, cache_dir=cache_dir)
@@ -163,3 +259,133 @@ class TestInvalidation:
         matcher = RulesetMatcher(RULES, cache_dir=missing)
         assert not matcher.compile_info.cache_hit
         assert os.path.isdir(missing)  # created on save
+
+
+def _warm_starts(cache_dir):
+    """The three cached entry points, as ``(name, matcher)`` pairs."""
+    loaded, _ = load_rules_text(RULES_TEXT).compile(cache_dir=cache_dir)
+    yield "loaded", loaded
+    yield "matcher", RulesetMatcher(RULES, opt_level=1, cache_dir=cache_dir)
+    yield "sharded", ShardedMatcher(RULES, shards=2, cache_dir=cache_dir)
+
+
+def _feed_all(cache_dir):
+    """Warm-start every entry point, open a session, feed: returns
+    ``{name: (matches, phase names)}``."""
+    out = {}
+    for name, matcher in _warm_starts(cache_dir):
+        assert matcher.compile_info.cache_hit, name
+        with matcher.session() as session:
+            matches = session.feed(TEXT_DATA + DATA)
+            matches += session.finish()
+        out[name] = (
+            [(match.rule, match.end) for match in matches],
+            sorted(matcher.compile_info.phases),
+        )
+    return out
+
+
+class TestWarmStartIsALoad:
+    """A cache hit re-derives nothing and writes nothing."""
+
+    def test_nothing_is_rederived_on_a_hit(self, tmp_path, monkeypatch):
+        cache_dir = str(tmp_path)
+        cold = dict(_warm_starts(cache_dir))
+        assert not any(m.compile_info.cache_hit for m in cold.values())
+        want = _feed_all(cache_dir)
+        before = _listing(cache_dir)
+        forbid_rederivation(monkeypatch.setattr)
+        with pytest.raises(AssertionError, match="re-derived"):
+            RulesetMatcher(RULES)  # the guard is live
+        assert _feed_all(cache_dir) == want
+        assert all(phases == ["load"] for _, phases in want.values())
+        assert _listing(cache_dir) == before  # a warm start wrote nothing
+
+    def test_fresh_process_hit_only_loads(self, tmp_path):
+        cache_dir = str(tmp_path)
+        for _ in _warm_starts(cache_dir):
+            pass
+        want = _feed_all(cache_dir)
+        before = _listing(cache_dir)
+        script = (
+            "import json, sys\n"
+            "from tests.helpers import forbid_rederivation\n"
+            "from tests.compiler.test_cache import _feed_all\n"
+            "forbid_rederivation()\n"
+            "print(json.dumps(_feed_all(sys.argv[1])))\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(REPO_ROOT, "src"), REPO_ROOT, env.get("PYTHONPATH", "")]
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script, cache_dir],
+            cwd=REPO_ROOT, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        got = json.loads(done.stdout)
+        assert got == json.loads(json.dumps(want))
+        assert all(phases == ["load"] for _, phases in got.values())
+        assert _listing(cache_dir) == before
+
+    def test_phases_account_for_the_cold_path(self, tmp_path):
+        cold = RulesetMatcher(RULES, cache_dir=str(tmp_path)).compile_info
+        assert set(cold.phases) == {
+            "load", "compile", "map", "lower", "prepare", "save"
+        }
+        assert sum(cold.phases.values()) <= cold.seconds
+        uncached = RulesetMatcher(RULES).compile_info
+        assert set(uncached.phases) == {"compile", "map"}
+        merged = merge_compile_infos([cold, uncached])
+        assert merged.phases["compile"] == pytest.approx(
+            cold.phases["compile"] + uncached.phases["compile"]
+        )
+        assert merged.phases["save"] == cold.phases["save"]
+        loaded, _ = load_rules_text(RULES_TEXT).compile(cache_dir=str(tmp_path))
+        assert "triage" in loaded.compile_info.phases
+        assert sum(loaded.compile_info.phases.values()) <= loaded.compile_info.seconds
+
+    def test_loaded_artifact_can_be_saved_again(self, tmp_path):
+        cold = RulesetMatcher(RULES, cache_dir=str(tmp_path / "a"))
+        key = os.path.basename(cold.compile_info.cache_path)[len("ruleset-"):-len(".pkl")]
+        artifact = load_artifact(str(tmp_path / "a"), key)
+        cold.session().feed(DATA)  # a used program saves the same
+        cache_mod.save_artifact(artifact, str(tmp_path / "b"))
+        again = RulesetMatcher(RULES, cache_dir=str(tmp_path / "b"))
+        assert again.compile_info.cache_hit
+        assert again.scan(DATA) == cold.scan(DATA)
+
+
+@needs_numpy
+class TestNumpyBoundary:
+    """Artifacts cross the NumPy / no-NumPy boundary as hits, both ways."""
+
+    def test_written_without_numpy_hits_with_numpy(self, tmp_path, monkeypatch):
+        cache_dir = str(tmp_path)
+        with monkeypatch.context() as patch:
+            patch.setattr(block_engine, "_np", None)
+            cold = RulesetMatcher(RULES, cache_dir=cache_dir)
+            assert "block" not in cold.tables.prepared
+            want = cold.scan(DATA)
+        before = _listing(cache_dir)
+        warm = RulesetMatcher(RULES, cache_dir=cache_dir)
+        assert warm.compile_info.cache_hit
+        assert "block" not in warm.tables.prepared  # built on first use ...
+        (scanner,) = warm.session().scanners
+        assert type(scanner).__name__ == "BlockScanner"
+        assert warm.scan(DATA) == want
+        assert "block" in warm.tables.prepared
+        assert _listing(cache_dir) == before  # ... and not written back
+
+    def test_written_with_numpy_hits_without_numpy(self, tmp_path, monkeypatch):
+        cache_dir = str(tmp_path)
+        cold = RulesetMatcher(RULES, cache_dir=cache_dir)
+        want = cold.scan(DATA)
+        raw = open(cold.compile_info.cache_path, "rb").read()
+        assert b"numpy" not in raw  # the stored program holds no ndarray
+        monkeypatch.setattr(block_engine, "_np", None)
+        warm = RulesetMatcher(RULES, cache_dir=cache_dir)
+        assert warm.compile_info.cache_hit
+        (scanner,) = warm.session().scanners
+        assert type(scanner).__name__ == "StreamScanner"
+        assert warm.scan(DATA) == want

@@ -13,6 +13,7 @@ Three layers of proof that module state is exact under vector sweeps:
 """
 
 import dataclasses
+import pickle
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -24,6 +25,8 @@ from repro.engine.backends import resolve_backend
 from repro.engine.block import BlockScanner, BlockSweepStats, _program_for
 from repro.engine.scanner import StreamScanner
 from repro.engine.tables import compile_tables
+from repro.workloads import network_stream, plant_matches
+from repro.workloads.synth import module_heavy, snort_like
 
 pytestmark = pytest.mark.skipif(
     block_engine.numpy_or_none() is None,
@@ -361,3 +364,71 @@ class TestRejectedTables:
         sweep = scanner.sweep_stats
         assert sweep.committed_blocks == 0
         assert sweep.modules_vectorized is False
+
+
+def _stored(tables):
+    """``tables`` as a cache artifact or a pool worker sees them: the
+    program derived once, then pickled with them."""
+    _program_for(tables)
+    return pickle.loads(pickle.dumps(tables))
+
+
+class TestStoredProgram:
+    """A scanner over a *loaded* program is the scanner over a freshly
+    derived one: the program is never rebuilt, and reports, exact
+    stats and carried state agree at every split."""
+
+    @pytest.fixture(autouse=True)
+    def _patcher(self, monkeypatch):
+        self.patch = monkeypatch
+
+    def _assert_same_scanner(self, tables, data, block_size):
+        loaded = _stored(tables)
+
+        def rebuilt(*args, **kwargs):
+            raise AssertionError("program rebuilt from stored tables")
+
+        self.patch.setattr(block_engine._BlockProgram, "__init__", rebuilt)
+        self.patch.setattr(block_modules, "analyze", rebuilt)
+        state = loaded.prepared["block"].__getstate__()[1]
+        assert "ndarray" not in {type(value).__name__ for value in state.values()}
+        fresh, warm = (
+            BlockScanner(t, block_size=block_size) for t in (tables, loaded)
+        )
+        for offset in range(0, len(data), 3 * block_size + 1):
+            chunk = data[offset : offset + 3 * block_size + 1]
+            assert warm.feed(chunk) == fresh.feed(chunk)
+            assert warm._scalar._enabled == fresh._scalar._enabled
+        assert warm.finish() == fresh.finish() != set()
+        assert warm.stats == fresh.stats  # exact, not merely equivalent
+        assert warm.sweep_stats == fresh.sweep_stats
+        return loaded
+
+    @pytest.mark.parametrize(
+        "rules, modules, block_size",
+        [
+            pytest.param(module_heavy(24).patterns(), True, 32, id="module_heavy"),
+            pytest.param(
+                [(i, p) for i, p in snort_like(12, seed=5).patterns() if "{" not in p],
+                False,
+                16,
+                id="ste-only",
+            ),
+        ],
+    )
+    def test_accepted_tables(self, rules, modules, block_size):
+        tables = compile_tables(compile_ruleset(rules).network)
+        assert (tables.n_modules > 0) == modules
+        data = plant_matches(
+            network_stream(160, seed=3), [p for _, p in rules], seed=4, density=0.4
+        )
+        loaded = self._assert_same_scanner(tables, data, block_size)
+        assert BlockScanner.can_sweep(loaded)
+        _assert_every_split_exact(loaded, data[:120], block_size)
+
+    @pytest.mark.parametrize("pattern, unit", REJECTED)
+    def test_rejected_verdict_persists(self, pattern, unit):
+        tables = compile_tables(compile_pattern(pattern, report_id="p").network)
+        loaded = self._assert_same_scanner(tables, unit * 6, 16)
+        assert not BlockScanner.can_sweep(loaded)
+        assert resolve_backend("auto", loaded).name == "stream"

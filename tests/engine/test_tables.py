@@ -122,6 +122,27 @@ def test_tables_are_picklable():
     assert scan_bytes(clone, data).reports == scan_bytes(tables, data).reports
 
 
+def test_prepared_travels_with_the_tables_but_is_not_compared():
+    import pickle
+
+    from repro.engine.backends import prepare_backends
+
+    compiled = compile_pattern(r"x[^a]a{3,9}b", report_id="p")
+    tables = compile_tables(compiled.network)
+    tables.network = None  # a Network compares by identity, clones differ
+    bare = pickle.loads(pickle.dumps(tables))
+    prepare_backends(tables)  # every available backend fills its slot
+    clone = pickle.loads(pickle.dumps(tables))
+    assert clone == tables == bare  # derived state takes no part
+    assert clone.prepared.keys() == tables.prepared.keys()
+    assert "prepared" not in repr(tables)
+    if "block" in tables.prepared:  # NumPy leg: the clone carries the program
+        kept, sent = tables.prepared["block"], clone.prepared["block"]
+        assert sent is not kept
+        assert sent.sweep_ok and sent.steps == kept.steps
+        assert sent.row_of == kept.row_of and sent.preds == kept.preds
+
+
 def test_match_masks_cover_symbol_sets():
     compiled = compile_pattern(r"[a-f]{2,4}[^a-f]", report_id="p")
     tables = compile_tables(compiled.network)

@@ -82,3 +82,31 @@ def random_strings(alphabet: str, count: int, max_len: int, seed: int) -> list[s
         "".join(rng.choice(alphabet) for _ in range(rng.randint(0, max_len)))
         for _ in range(count)
     ]
+
+
+def forbid_rederivation(setattr_=setattr) -> None:
+    """Make everything a cache hit must not re-run raise: the rule
+    parser, ``regex.parse``, ``map_network``, ``block_modules.analyze``
+    and ``_BlockProgram.__init__`` -- wherever ``repro`` imported them
+    (``from x import f`` binds a second name a plain patch would miss).
+    Pass ``monkeypatch.setattr`` to have it undone after the test."""
+    import sys
+
+    import repro  # noqa: F401 - the modules to patch must be loaded
+    from repro.compiler.mapping import map_network
+    from repro.engine import block, block_modules
+    from repro.regex.parser import parse
+    from repro.rules.parser import parse_rule
+
+    forbidden = (parse_rule, parse, map_network, block_modules.analyze)
+
+    def rederived(*args, **kwargs):
+        raise AssertionError("re-derived on a cache hit")
+
+    for name, module in list(sys.modules.items()):
+        if module is None or not (name == "repro" or name.startswith("repro.")):
+            continue
+        for attr, value in list(vars(module).items()):
+            if any(value is function for function in forbidden):
+                setattr_(module, attr, rederived)
+    setattr_(block._BlockProgram, "__init__", rederived)

@@ -108,6 +108,56 @@ class TestLoader:
         data = b"payload |deadbeef| GET /admin"
         assert cold.scan(data).matches == warm.scan(data).matches
 
+    def test_triage_is_deferred_to_first_access(self, tmp_path):
+        missing = str(tmp_path / "missing.rules")
+        with pytest.raises(OSError):
+            load_rules(missing)  # files are still opened eagerly
+        loaded = load_rules(FIXTURE)
+        assert loaded._report is None
+        assert loaded.report is loaded.report  # computed once
+        assert loaded.rules == load_rules(FIXTURE).report.patterns()
+
+    def test_triage_entry_is_keyed_by_text_alone(self, tmp_path):
+        cache_dir = str(tmp_path)
+        text = open(FIXTURE).read()
+
+        def compile_(text, **options):
+            matcher, report = load_rules_text(text, file=FIXTURE).compile(
+                cache_dir=cache_dir, **options
+            )
+            return matcher.compile_info, report
+
+        cold, want = compile_(text)
+        assert not cold.cache_hit and "triage" in cold.phases
+        assert len(os.listdir(cache_dir)) == 2  # ruleset-* and triage-*
+        warm, report = compile_(text)
+        assert warm.cache_hit and set(warm.phases) == {"load"}
+        assert report == want  # the stored triage is the derived one
+        # only a compile option changed: the triage is a hit, the ruleset not
+        other, report = compile_(text, opt_level=1)
+        assert not other.cache_hit
+        assert "triage" not in other.phases and "compile" in other.phases
+        assert report == want
+        assert len(os.listdir(cache_dir)) == 3
+        # one byte of rule text changed: both layers miss
+        changed, _ = compile_(text.replace("GET /admin", "GET /bdmin"))
+        assert not changed.cache_hit and "triage" in changed.phases
+        assert len(os.listdir(cache_dir)) == 5
+        # the label is part of every origin, so part of the key
+        moved, report = load_rules_text(text, file="other.rules").compile(
+            cache_dir=cache_dir
+        )
+        assert "triage" in moved.compile_info.phases
+        assert report.rules[0].origin.startswith("other.rules:")
+
+    def test_report_read_before_compile_skips_the_triage_entry(self, tmp_path):
+        loaded = load_rules(FIXTURE)
+        want = loaded.report
+        matcher, _ = loaded.compile(cache_dir=str(tmp_path))
+        assert loaded.report is want
+        assert [n[:7] for n in os.listdir(str(tmp_path))] == ["ruleset"]
+        assert "triage" not in matcher.compile_info.phases
+
 
 class TestSyntheticCorpusAtScale:
     """Acceptance: >=2000 synthetic rules, zero unclassified, compiling
