@@ -18,8 +18,9 @@ Commands mirror the toolchain stages:
   per-stream results;
 * ``serve``    -- run the asyncio match server: one compiled ruleset
   (same compile options as ``scan``) served over TCP to N concurrent
-  line-protocol clients (protocol spec: ``docs/SERVING.md``); stops
-  gracefully -- drain, flush, ``BYE`` -- on SIGINT/SIGTERM;
+  line-protocol clients by a supervised fleet of ``--workers`` server
+  processes (protocol spec: ``docs/SERVING.md``); stops gracefully --
+  drain, flush, ``BYE`` -- on SIGINT/SIGTERM;
 * ``connect``  -- smoke-test client for ``serve``: stream interleaved
   ``tag<TAB>chunk`` lines (the ``scan --streams`` format) to a running
   server and report per-stream matches;
@@ -73,9 +74,9 @@ from .workloads.synth import suite_by_name
 __all__ = ["main", "build_parser"]
 
 
-def _shard_count(text: str) -> int:
-    """``--shards`` value: a count, so 0 and negatives are usage errors
-    rather than another spelling of "unsharded"."""
+def _positive_count(text: str) -> int:
+    """``--shards`` / ``--workers`` value: a count, so 0 and negatives
+    are usage errors rather than another spelling of "one"."""
     count = int(text)
     if count < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {count}")
@@ -116,7 +117,7 @@ def _add_compile_options(
     if shards:
         parser.add_argument(
             "--shards",
-            type=_shard_count,
+            type=_positive_count,
             default=1,
             help="round-robin the rule set over N independent shards",
         )
@@ -247,8 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
         "time-slice connections; scale with --workers)",
     )
     p_serve.add_argument(
-        "--workers", type=int, default=1,
-        help="server process count: >1 forks a fleet of workers "
+        "--workers", type=_positive_count, default=1,
+        help="server process count: a supervised fleet of workers "
         "sharing host:port via SO_REUSEPORT (crashed workers are "
         "respawned; see docs/SERVING.md 'Multi-worker deployment')",
     )
@@ -308,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(one running match server per ruleset shard)",
     )
     p_cluster.add_argument(
-        "--shards", type=_shard_count, default=3,
+        "--shards", type=_positive_count, default=3,
         help="shard server count in spawn mode (default 3)",
     )
     p_cluster.add_argument("--host", default="127.0.0.1")
@@ -332,11 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--retries", type=int, default=5,
         help="extra connection attempts per shard before giving up "
         "(exponential backoff with jitter)",
-    )
-    p_cluster.add_argument(
-        "--in-process", action="store_true",
-        help="run spawned shards as servers inside this process "
-        "instead of forked worker processes (dev/debug)",
     )
     p_cluster.add_argument(
         "--stats", action="store_true",
@@ -697,125 +693,11 @@ def _serve_summary(stats) -> None:
 
 
 def _cmd_serve(args) -> int:
-    """``serve``: compile once, serve line-protocol clients until a
-    signal arrives, then drain gracefully.  ``--workers N`` (N > 1)
-    forks a SO_REUSEPORT-sharded worker fleet instead of serving
-    in-process; both paths support ``--reload`` (SIGHUP hot ruleset
-    reload) and ``--control`` (unix control socket)."""
-    if args.workers > 1:
-        return _serve_fleet(args)
-
-    import asyncio
-    import signal
-
-    from .serve import MatchServer
-    from .serve.control import ControlServer
-
-    matcher = _build_matcher(args)
-    if matcher.skipped:
-        print(f"skipped {len(matcher.skipped)} rule(s)", file=sys.stderr)
-    resources = matcher.resources()
-
-    def rebuild():
-        """Reload path: recompile the (possibly edited) rule file."""
-        return _build_matcher(args)
-
-    async def run() -> int:
-        server = MatchServer(
-            matcher,
-            host=args.host,
-            port=args.port,
-            engine=args.engine,
-            queue_depth=args.queue_depth,
-            workers=args.threads,
-        )
-        try:
-            await server.start()
-        except OSError as exc:
-            print(
-                f"error: cannot bind {args.host}:{args.port}: {exc}",
-                file=sys.stderr,
-            )
-            return 2
-        # the ready line is machine-readable: smoke tests poll for it
-        print(
-            f"serving {resources.rules_compiled} rules on "
-            f"{server.host}:{server.port} (engine {args.engine}, "
-            f"queue depth {args.queue_depth})",
-            flush=True,
-        )
-        loop = asyncio.get_running_loop()
-        stop = loop.create_future()
-
-        def request_stop() -> None:
-            if not stop.done():
-                stop.set_result(None)
-
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(signum, request_stop)
-            except (NotImplementedError, RuntimeError):
-                pass  # platform without signal handlers: Ctrl-C raises
-
-        async def do_reload() -> None:
-            try:
-                generation = await server.reload(rebuild)
-            except Exception as exc:  # noqa: BLE001 - operator-facing
-                print(f"reload failed: {exc}", file=sys.stderr, flush=True)
-            else:
-                print(f"reloaded ruleset: generation {generation}", flush=True)
-
-        if args.reload and hasattr(signal, "SIGHUP"):
-            try:
-                loop.add_signal_handler(
-                    signal.SIGHUP,
-                    lambda: loop.create_task(do_reload()),
-                )
-            except (NotImplementedError, RuntimeError):
-                pass
-
-        control = None
-        if args.control:
-
-            class _Target:
-                """Duck-typed control target over the running loop."""
-
-                @property
-                def generation(self) -> int:
-                    return server.handle.generation
-
-                def stats(self):
-                    return server.stats()
-
-                def reload(self) -> int:
-                    return asyncio.run_coroutine_threadsafe(
-                        server.reload(rebuild), loop
-                    ).result()
-
-            control = ControlServer(
-                _Target(),
-                args.control,
-                on_stop=lambda: loop.call_soon_threadsafe(request_stop),
-            )
-            control.start()
-            print(f"control socket at {args.control}", file=sys.stderr)
-        try:
-            await stop
-        except KeyboardInterrupt:  # pragma: no cover - no-handler platforms
-            pass
-        finally:
-            if control is not None:
-                control.stop()
-        print("draining...", file=sys.stderr)
-        await server.stop(drain=True)
-        _serve_summary(server.stats())
-        return 0
-
-    return asyncio.run(run())
-
-
-def _serve_fleet(args) -> int:
-    """``serve --workers N``: supervise a process-sharded fleet."""
+    """``serve``: compile once, supervise a fleet of ``--workers``
+    server processes (default one -- the configuration the ``serve40``
+    benchmark workload measures) until a signal arrives, then drain
+    gracefully.  ``--reload`` arms SIGHUP hot ruleset reload,
+    ``--control`` a unix control socket."""
     import signal
     import threading
 
@@ -841,9 +723,13 @@ def _serve_fleet(args) -> int:
             file=sys.stderr,
         )
         return 2
+    if fleet.skipped:
+        print(f"skipped {len(fleet.skipped)} rule(s)", file=sys.stderr)
+    # the ready line is machine-readable: smoke tests poll for it
     print(
-        f"serving {len(rules)} rules on {fleet.host}:{fleet.port} "
-        f"(engine {args.engine}, workers {args.workers}, "
+        f"serving {len(rules) - len(fleet.skipped)} rules on "
+        f"{fleet.host}:{fleet.port} (engine {args.engine}, "
+        f"queue depth {args.queue_depth}, workers {args.workers}, "
         f"{sum(fleet.cache_hits)} warm-started, generation {fleet.generation})",
         flush=True,
     )
@@ -1005,7 +891,7 @@ def _cmd_cluster(args) -> int:
             shards=args.shards,
             host=args.host,
             ports=ports,
-            processes=not args.in_process,
+            processes=True,
             **_compile_options(args),
         )
         cluster.start()

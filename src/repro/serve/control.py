@@ -15,9 +15,7 @@ newline-framed UTF-8, one reply line per command::
 The server is deliberately duck-typed over its ``target``: anything
 with a ``generation`` attribute, ``stats() -> ServerStats``, and
 ``reload() -> int`` works -- a :class:`~repro.serve.fleet.WorkerFleet`
-directly, or a thin adapter over a single in-process
-:class:`~repro.serve.server.MatchServer` (the CLI builds one for
-``repro serve --workers 1 --control``).  ``STOP`` invokes the
+directly (what ``repro serve --control`` passes).  ``STOP`` invokes the
 ``on_stop`` callback, so shutdown policy stays with the owner.
 
 Commands are handled sequentially per connection and the handler is

@@ -138,6 +138,9 @@ class WorkerFleet:
         self.restart_budget = restart_budget
         self.generation = 0
         self.restarts = 0
+        #: ``(rule_id, reason)`` of every rule the parent's compile of
+        #: the current ruleset skipped (set by :meth:`start` / :meth:`reload`)
+        self.skipped: list[tuple[str, str]] = []
         #: merged final ServerStats captured by :meth:`stop`
         self.final_stats: Optional[ServerStats] = None
         self._reuse_requested = reuse_port
@@ -180,7 +183,7 @@ class WorkerFleet:
             self._spec = replace(self._spec, cache_dir=self._tmp_cache.name)
         # compile once in the parent: validates the ruleset before any
         # worker exists and fills the shared cache
-        self._spec.build()
+        self.skipped = list(self._spec.build().skipped)
         self._reserve_port()
         self._started = True
         try:
@@ -262,8 +265,7 @@ class WorkerFleet:
                 new_spec = replace(
                     self._spec, rules=tuple(normalize_rules(rules))
                 )
-            matcher = new_spec.build()
-            skipped = list(getattr(matcher, "skipped", ()) or ())
+            skipped = list(new_spec.build().skipped)
             if rules is not None and skipped and len(skipped) >= len(
                 new_spec.rules
             ):
@@ -289,6 +291,7 @@ class WorkerFleet:
                         f"{event.get('message')}"
                     )
             self._spec = new_spec
+            self.skipped = skipped
             self.generation = generation
             return generation
 

@@ -7,8 +7,9 @@ and the tests observe.  Throughput is derived, not sampled: the
 workers accumulate the wall-clock seconds actually spent inside
 backend ``feed``/``finish`` calls (``busy_seconds``), so
 ``throughput_bps`` is the compiled ruleset's measured scan rate under
-serving load, directly comparable to the offline numbers in
-``BENCH_engine.json``.
+serving load, directly comparable to an offline scan of the same
+bytes (the repository benchmark's ``serve.overhead_ratio`` is that
+comparison).
 
     >>> from repro.serve.stats import StatsCounters
     >>> counters = StatsCounters(engine="stream")

@@ -434,8 +434,8 @@ def clamav_like(total: int = 2009, seed: int = 0xC1A3) -> Suite:
 def module_heavy(total: int = 24, seed: int = 0x40D5) -> Suite:
     """Every rule carries a ``{n,m}`` bounded repeat that lowers to a
     counter or bit-vector module (``unfold_threshold=0``) -- the
-    workload for measuring in-sweep module execution (the
-    ``backends_modules`` matrix in ``bench_engine.py``).
+    workload for measuring in-sweep module execution (the repository
+    benchmark's ``modules24_dense``).
 
     Unlike the application suites this one is *pure* module pressure:
     guarded runs (counters), wildcard/class gaps (bit vectors), and

@@ -44,6 +44,7 @@ class TestCostOrdering:
         ast = search(r"[^a-m][a-m]{40}|[^g-z][g-z]{40}")
         hybrid = analyze_hybrid(ast)
         exact = analyze_exact(ast)
+        assert not hybrid.ambiguous and not exact.ambiguous
         assert hybrid.pairs_created < exact.pairs_created / 3
 
     def test_witness_overhead_small(self):

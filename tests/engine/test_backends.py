@@ -7,6 +7,8 @@ unknown-engine error, graceful degradation without NumPy) and the
 shape, chunking, and all five synthetic suites.
 """
 
+import time
+
 import pytest
 
 import repro.engine.block as block_engine
@@ -36,6 +38,7 @@ from repro.workloads.synth import (
     spamassassin_like,
     suricata_like,
 )
+from tests.helpers import planted_snort40
 
 MODULE_FREE_RULES = [("lit", r"abc"), ("alt", r"(cat|dog)"), ("cls", r"x[yz]w")]
 
@@ -377,6 +380,34 @@ class TestBlockScannerEquivalence:
     def test_program_shared_across_scanners(self):
         tables = _tables("abc")
         assert BlockScanner(tables)._program is BlockScanner(tables)._program
+
+    def test_ste_only_suite_sweeps_at_twice_the_interpreter_rate(self):
+        """The guard on the module-free table class (every repository
+        benchmark workload has modules): the fully unfolded 40-rule
+        Snort-style suite resolves to ``block`` under ``auto``, and
+        ``block`` scans it >= 2x as fast as ``stream`` with identical
+        reports (best of 3, the two backends interleaved)."""
+        rules, data = planted_snort40()
+        ruleset = compile_ruleset(rules, unfold_threshold=float("inf"))
+        tables = compile_tables(ruleset.network)
+        assert tables.n_modules == 0
+        assert resolve_backend("auto", tables).name == "block"
+        chunks = [data[at : at + (1 << 14)] for at in range(0, len(data), 1 << 14)]
+        scanners = {
+            name: get_backend(name).make_scanner(tables)
+            for name in ("stream", "block")
+        }
+        best = dict.fromkeys(scanners, float("inf"))
+        for _ in range(3):
+            for name, scanner in scanners.items():
+                scanner.reset()
+                start = time.perf_counter()
+                for chunk in chunks:
+                    scanner.feed(chunk)
+                scanner.finish()
+                best[name] = min(best[name], time.perf_counter() - start)
+        assert scanners["block"].reports == scanners["stream"].reports != set()
+        assert best["stream"] / best["block"] >= 2.0, best
 
 
 class TestFacadeEngineSelection:

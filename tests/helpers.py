@@ -84,6 +84,19 @@ def random_strings(alphabet: str, count: int, max_len: int, seed: int) -> list[s
     ]
 
 
+def planted_snort40() -> tuple[list[tuple[str, str]], bytes]:
+    """The workload of the two tier-1 timing floors: the 40-rule
+    Snort-style suite (callers unfold it: 3 889 STEs, no modules) and a
+    120 KB style-matched stream with its matches planted."""
+    from repro.workloads.inputs import plant_matches, stream_for_style
+    from repro.workloads.synth import snort_like
+
+    suite = snort_like(total=40, seed=7)
+    background = stream_for_style(suite.input_style, 120_000, seed=5)
+    data = plant_matches(background, [r.pattern for r in suite.rules], seed=6)
+    return suite.patterns(), data
+
+
 def forbid_rederivation(setattr_=setattr) -> None:
     """Make everything a cache hit must not re-run raise: the rule
     parser, ``regex.parse``, ``map_network``, ``block_modules.analyze``

@@ -26,7 +26,12 @@ from repro.experiments import (
     run_table1,
     run_table2,
 )
-from repro.workloads.synth import PAPER_TABLE1, snort_like, protomata_like
+from repro.workloads.synth import (
+    PAPER_TABLE1,
+    protomata_like,
+    snort_like,
+    suricata_like,
+)
 
 
 @pytest.fixture(scope="module")
@@ -37,7 +42,9 @@ def fig9_result():
 class TestTable1:
     def test_fractions_track_paper(self):
         result = run_table1(scale=0.12)
+        assert len(result.rows) == 5
         for row in result.rows:
+            assert row.ambiguous <= row.counting <= row.supported <= row.total
             paper = PAPER_TABLE1[row.name]
             assert row.supported / row.total == pytest.approx(
                 paper["supported"] / paper["total"], abs=0.06
@@ -71,18 +78,21 @@ class TestFig2:
         assert "pairs" in format_fig2(result, metric="pairs")
 
     def test_hybrid_never_much_worse_than_exact(self):
-        suites = [snort_like(total=40)]
+        # on the ambiguous rules hybrid pays a small aborted
+        # approximation probe on top of the exact fallback
+        suites = [snort_like(total=40), suricata_like(total=40)]
         result = run_fig2(suites=suites)
-        exact_pairs = sum(p.pairs for p in result.series("Snort", "E"))
-        hybrid_pairs = sum(p.pairs for p in result.series("Snort", "H"))
-        assert hybrid_pairs <= exact_pairs * 1.5
+        for suite in ("Snort", "Suricata"):
+            exact_pairs = sum(p.pairs for p in result.series(suite, "E"))
+            hybrid_pairs = sum(p.pairs for p in result.series(suite, "H"))
+            assert hybrid_pairs <= exact_pairs * 1.25, suite
 
 
 class TestFig3:
     def test_family_speedup_grows_with_bound(self):
         result = run_fig3_family(bounds=(40, 80, 160))
         speedups = [p.speedup for p in result.points]
-        assert speedups[-1] > speedups[0]
+        assert speedups[-1] > speedups[0] > 1
         assert result.max_speedup() > 3
         # quadratic vs linear pair counts
         first, last = result.points[0], result.points[-1]
@@ -125,6 +135,7 @@ class TestFig9:
         for suite, points in fig9_result.series.items():
             nodes = [p.nodes for p in points]
             assert nodes == sorted(nodes), suite
+            assert nodes[0] > 0, suite
 
     def test_large_bound_suites_reduce_most(self, fig9_result):
         r = fig9_result
@@ -155,6 +166,8 @@ class TestFig10:
         """The headline: large-bound suites see big energy cuts."""
         assert result.energy_reduction("Snort") > 0.4
         assert result.energy_reduction("Suricata") > 0.4
+        # the abstract's area claim
+        assert result.area_reduction("Snort") > 0.2
 
     def test_small_bound_suites_modest(self, result):
         """Protomata/SpamAssassin: less reduction than the IDS suites."""

@@ -19,8 +19,10 @@ servers on a private loop in this process, and one forked
 ``repro cluster`` and the benchmark use).
 """
 
+import contextlib
 import multiprocessing
 import socket
+import time
 
 import pytest
 
@@ -37,6 +39,7 @@ from repro import (
 from repro.compiler.pipeline import dedupe_rules
 from repro.engine.parallel import mp_context, shard_rules
 from repro.serve.cluster import parse_endpoint
+from tests.helpers import planted_snort40
 from tests.serve.chaoss import Fault, FaultProxy
 from tests.serve.test_server import RULES, offline_events, traffic_for
 
@@ -127,6 +130,39 @@ class TestClusterDifferential:
         for tag, result in offline_results.items():
             assert results[tag].bytes_scanned == result.bytes_scanned
             assert results[tag].matches == result.matches
+
+    @pytest.mark.skipif(mp_context() is None, reason="no multiprocessing")
+    def test_three_shard_processes_cost_under_twice_one(self, tmp_path):
+        """The per-frame FEED+PING barrier is a latency bound, not a
+        second scan: every shard scans every byte but holds 1/3 of the
+        rules, so the fully unfolded 40-rule Snort-style suite over 3
+        shard processes must take < 2x one shard process on the same
+        64 KiB frames (best of 3, the two clusters interleaved),
+        merged matches equal to offline."""
+        rules, data = planted_snort40()
+        chunks = [data[at : at + (1 << 16)] for at in range(0, len(data), 1 << 16)]
+        # one cache: the 1-shard child warm-starts from the offline compile
+        unfolded = dict(unfold_threshold=float("inf"), cache_dir=str(tmp_path))
+        offline = RulesetMatcher(rules, **unfolded).scan_stream(chunks)
+
+        with contextlib.ExitStack() as stack:
+            remotes = {}
+            for shards in (1, 3):
+                cluster = stack.enter_context(
+                    LocalShardCluster(rules, shards=shards, processes=True, **unfolded)
+                )
+                remote = stack.enter_context(RemoteShardedMatcher(cluster.addresses))
+                result = remote.scan_stream(chunks)
+                assert result.matches == offline.matches
+                assert result.bytes_scanned == offline.bytes_scanned
+                remotes[shards] = remote
+            best = dict.fromkeys(remotes, float("inf"))
+            for _ in range(3):
+                for shards, remote in remotes.items():
+                    start = time.perf_counter()
+                    remote.scan_stream(chunks)
+                    best[shards] = min(best[shards], time.perf_counter() - start)
+        assert best[3] / best[1] < 2.0, best
 
     def test_remote_equals_in_process_sharded_matcher(self):
         """Same shard policy, same answers: the network cluster is

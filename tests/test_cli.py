@@ -164,6 +164,17 @@ class TestScan:
             assert exit_info.value.code == 2
             assert "--shards: must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_workers_below_one_is_a_usage_error(self, tmp_path, capsys, count):
+        rules = tmp_path / "rules.txt"
+        rules.write_text("a\tabc\n")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--rules", str(rules), "--workers", count])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: argument --workers: must be >= 1" in err
+        assert "Traceback" not in err
+
 
 class TestScanStreams:
     def test_interleaved_tagged_streams(self, tmp_path, capsys):
@@ -427,9 +438,9 @@ class TestRulesCommand:
 
 
 class TestServeConnect:
-    """CLI serving: `repro connect` against a live MatchServer (the
-    server side of `repro serve` is the same MatchServer; its
-    signal-driven entry point is smoke-tested in CI)."""
+    """CLI serving: `repro connect` against a live MatchServer (what
+    every `repro serve` worker runs), and `repro serve` itself as a
+    subprocess: ready line, SIGHUP reload, SIGTERM drain."""
 
     @staticmethod
     def _live_server(matcher):
@@ -555,7 +566,7 @@ class TestServeConnect:
 
     def test_serve_bind_failure_is_one_clean_line(self, tmp_path, capsys):
         """A taken port yields one `error:` line and exit 2 -- no
-        traceback -- on both the single-server and fleet paths."""
+        traceback -- with and without `--workers`."""
         import socket
 
         rules = tmp_path / "rules.txt"
@@ -565,22 +576,18 @@ class TestServeConnect:
         blocker.listen(1)
         port = blocker.getsockname()[1]
         try:
-            code = main([
-                "serve", "--rules", str(rules), "--port", str(port),
-            ])
-            assert code == 2
-            err = capsys.readouterr().err
-            assert f"error: cannot bind 127.0.0.1:{port}" in err
-            assert "Traceback" not in err
-
-            code = main([
-                "serve", "--rules", str(rules), "--port", str(port),
-                "--workers", "2",
-            ])
-            assert code == 2
-            err = capsys.readouterr().err
-            assert f"error: cannot serve on 127.0.0.1:{port}" in err
-            assert "Traceback" not in err
+            for workers in ([], ["--workers", "2"]):
+                code = main([
+                    "serve", "--rules", str(rules), "--port", str(port),
+                    *workers,
+                ])
+                assert code == 2
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                (line,) = captured.err.splitlines()
+                assert line.startswith(
+                    f"error: cannot serve on 127.0.0.1:{port}: "
+                )
         finally:
             blocker.close()
 
@@ -598,13 +605,15 @@ class TestServeConnect:
         assert (args.threads, args.workers) == (2, 4)
         assert args.reload is True
         assert args.control == "/tmp/repro.sock"
-        # defaults: one in-process server, no reload, no control socket
+        # defaults: a one-worker fleet, no reload, no control socket
         args = build_parser().parse_args(["serve", "--rules", "r.txt"])
         assert (args.workers, args.reload, args.control) == (1, False, None)
 
     def test_serve_fleet_cli_sighup_reload_roundtrip(self, tmp_path):
-        """End-to-end over the real CLI: a 2-worker fleet subprocess,
-        SIGHUP hot reload after editing the rule file, SIGTERM drain."""
+        """End-to-end over the real CLI, as the default one-worker
+        fleet and as a 2-worker one: ready line (compiled-rule count,
+        skipped-rule warning), SIGHUP hot reload after editing the
+        rule file, SIGTERM drain summary."""
         import json
         import os
         import signal
@@ -613,7 +622,6 @@ class TestServeConnect:
         import time
 
         rules = tmp_path / "rules.txt"
-        rules.write_text("hit\tabc\ngone\told[0-9]\n")
         tagged = tmp_path / "tagged.txt"
         tagged.write_bytes(b"s\tza\ns\tbc old7 new!\n")
         env = dict(os.environ)
@@ -621,60 +629,73 @@ class TestServeConnect:
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (src, env.get("PYTHONPATH")) if p
         )
-        proc = subprocess.Popen(
-            [_sys.executable, "-m", "repro", "serve",
-             "--rules", str(rules), "--port", "0",
-             "--workers", "2", "--reload"],
-            stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-            text=True, env=env,
-        )
-        try:
-            ready = proc.stdout.readline()
-            assert "serving 2 rules on" in ready, ready
-            assert "workers 2" in ready and "generation 0" in ready
-            port = ready.split(" on ")[1].split(" ")[0].split(":")[1]
 
-            def connect_json():
-                out = subprocess.run(
-                    [_sys.executable, "-m", "repro", "connect",
-                     "--port", port, "--input", str(tagged), "--json"],
-                    capture_output=True, text=True, env=env, timeout=60,
-                ).stdout
-                return json.loads(out)
-
-            before = connect_json()
-            assert before["streams"]["s"]["generation"] == 0
-            assert {e["rule"] for e in before["streams"]["s"]["events"]} == {
-                "hit", "gone",
-            }
-
-            # one rule removed, one added: the SIGHUP re-reads the file
-            rules.write_text("hit\tabc\nfresh\tnew!\n")
-            proc.send_signal(signal.SIGHUP)
-            deadline = time.monotonic() + 60
-            while time.monotonic() < deadline:
-                line = proc.stdout.readline()
-                if not line and proc.poll() is not None:
-                    raise AssertionError("fleet process died during reload")
-                if "reloaded ruleset: generation 1" in line:
-                    break
-            else:  # pragma: no cover - diagnostic only
-                raise AssertionError("no reload acknowledgement")
-
-            after = connect_json()
-            assert after["streams"]["s"]["generation"] == 1
-            assert {e["rule"] for e in after["streams"]["s"]["events"]} == {
-                "hit", "fresh",
-            }
-            assert all(
-                e["generation"] == 1 for e in after["streams"]["s"]["events"]
+        def roundtrip(workers, worker_args):
+            # three lines, two compile: the ready line counts the latter
+            rules.write_text("hit\tabc\ngone\told[0-9]\nbad\t(a)\\1\n")
+            proc = subprocess.Popen(
+                [_sys.executable, "-m", "repro", "serve",
+                 "--rules", str(rules), "--port", "0",
+                 *worker_args, "--reload"],
+                stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+                text=True, env=env,
             )
+            try:
+                assert "skipped 1 rule(s)" in proc.stdout.readline()
+                ready = proc.stdout.readline()
+                assert "serving 2 rules on" in ready, ready
+                assert f"workers {workers}, {workers} warm-started" in ready
+                assert "engine auto" in ready and "generation 0" in ready
+                port = ready.split(" on ")[1].split(" ")[0].split(":")[1]
 
-            proc.send_signal(signal.SIGTERM)
-            remaining = proc.communicate(timeout=60)[0]
-            assert proc.returncode == 0
-            assert "served " in remaining  # final drain summary
-        finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.communicate(timeout=30)
+                def connect_json():
+                    out = subprocess.run(
+                        [_sys.executable, "-m", "repro", "connect",
+                         "--port", port, "--input", str(tagged), "--json"],
+                        capture_output=True, text=True, env=env, timeout=60,
+                    ).stdout
+                    return json.loads(out)
+
+                before = connect_json()
+                assert before["streams"]["s"]["generation"] == 0
+                assert {
+                    e["rule"] for e in before["streams"]["s"]["events"]
+                } == {"hit", "gone"}
+
+                # one rule removed, one added: the SIGHUP re-reads the file
+                rules.write_text("hit\tabc\nfresh\tnew!\n")
+                proc.send_signal(signal.SIGHUP)
+                deadline = time.monotonic() + 60
+                while time.monotonic() < deadline:
+                    line = proc.stdout.readline()
+                    if not line and proc.poll() is not None:
+                        raise AssertionError("serve process died during reload")
+                    if "reloaded ruleset: generation 1" in line:
+                        break
+                else:  # pragma: no cover - diagnostic only
+                    raise AssertionError("no reload acknowledgement")
+
+                after = connect_json()
+                assert after["streams"]["s"]["generation"] == 1
+                assert {
+                    e["rule"] for e in after["streams"]["s"]["events"]
+                } == {"hit", "fresh"}
+                assert all(
+                    e["generation"] == 1
+                    for e in after["streams"]["s"]["events"]
+                )
+
+                proc.send_signal(signal.SIGTERM)
+                remaining = proc.communicate(timeout=60)[0]
+                assert proc.returncode == 0
+                assert (
+                    "served 2 connection(s), 2 stream(s), 28 bytes, "
+                    "4 match(es)" in remaining
+                )
+            finally:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.communicate(timeout=30)
+
+        roundtrip(1, [])
+        roundtrip(2, ["--workers", "2"])

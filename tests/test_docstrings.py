@@ -6,12 +6,19 @@ Two guarantees, enforced so the docs satellite cannot rot:
 2. the core user-facing symbols carry an *executable* example
    (``>>>``), and every example in the key modules actually runs
    (``doctest`` here in tier-1; CI additionally doctests the markdown
-   suite under ``docs/``).
+   suite under ``docs/``);
+3. the docs quote the one repository benchmark: nothing mentions the
+   deleted second one, and every name in ``docs/PERFORMANCE.md``'s
+   tables is a workload or metric of ``BENCHMARK.json``.
 """
 
 import doctest
 import importlib
 import inspect
+import json
+import os
+import re
+from pathlib import Path
 
 import pytest
 
@@ -100,3 +107,47 @@ class TestDoctestsRun:
         module = importlib.import_module(module_name)
         result = doctest.testmod(module, verbose=False)
         assert result.failed == 0, f"{module_name}: {result.failed} doctest failure(s)"
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class TestDocsQuoteTheHarness:
+    def test_nothing_mentions_the_deleted_benchmark(self):
+        # history may name it: the change log, the issue, the roadmap
+        history = {"CHANGES.md", "ISSUE.md", "ROADMAP.md"}
+        gone = ("bench_" + "engine", "BENCH_" + "engine", "benchmarks/" + "results")
+        stale = []
+        for folder, subfolders, files in os.walk(ROOT):
+            subfolders[:] = [
+                name
+                for name in subfolders
+                if name not in {".git", ".hypothesis", ".pytest_cache", "__pycache__"}
+            ]
+            for name in files:
+                path = Path(folder, name)
+                if path.suffix in {".md", ".py", ".yml"} and name not in history:
+                    text = path.read_text(encoding="utf-8", errors="replace")
+                    stale += [
+                        f"{path.relative_to(ROOT)}: {word}"
+                        for word in gone
+                        if word in text
+                    ]
+        assert not stale
+
+    def test_performance_tables_name_benchmark_workloads_and_metrics(self):
+        benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+        names = {
+            entry["name"]
+            for key in ("workloads", "end_to_end", "per_layer")
+            for entry in benchmark[key]
+        }
+        rows = [
+            line
+            for line in (ROOT / "docs" / "PERFORMANCE.md").read_text().splitlines()
+            if line.startswith("|")
+        ]
+        quoted = {name for row in rows for name in re.findall(r"`([^`]+)`", row)}
+        assert quoted and quoted <= names, sorted(quoted - names)
+        # the table of current medians has a row for every workload
+        assert {entry["name"] for entry in benchmark["workloads"]} <= quoted

@@ -92,6 +92,26 @@ class TestExports:
             assert getattr(repro, name, None) is not None, name
 
 
+class TestInstallMetadata:
+    def test_pyproject_names_the_package_and_its_version(self):
+        """`pip install -e .` installs `repro` at `repro.__version__`
+        with the `repro` command -- not an UNKNOWN-0.0.0 shell."""
+        import importlib
+        import tomllib
+        from pathlib import Path
+
+        root = Path(__file__).resolve().parent.parent
+        meta = tomllib.loads((root / "pyproject.toml").read_text())
+        assert meta["project"]["name"] == "repro"
+        assert meta["project"]["scripts"]["repro"] == "repro.cli:main"
+        assert meta["tool"]["setuptools"]["packages"]["find"]["where"] == ["src"]
+        module, _, attr = meta["tool"]["setuptools"]["dynamic"]["version"][
+            "attr"
+        ].rpartition(".")
+        version = getattr(importlib.import_module(module), attr)
+        assert version == repro.__version__ == "1.0.0"
+
+
 class TestSessionProtocolSignatures:
     def test_match_fields(self):
         assert [f.name for f in Match.__dataclass_fields__.values()] == [
