@@ -261,7 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--control",
         help="unix control-socket path speaking "
-        "PING/GEN/STATS/RELOAD/STOP (one reply line per command)",
+        "PING/GEN/STATS/RELOAD/STOP (one reply line per command; "
+        "RELOAD re-reads --rules, as SIGHUP does)",
     )
 
     p_connect = sub.add_parser(
@@ -692,6 +693,23 @@ def _serve_summary(stats) -> None:
     )
 
 
+class _ServeControl:
+    """The control socket's target under ``serve``: the fleet's
+    generation and stats, and ``RELOAD`` through the same ``reload``
+    that SIGHUP runs (it re-reads ``--rules``)."""
+
+    def __init__(self, fleet, reload):
+        self._fleet = fleet
+        self.reload = reload
+
+    @property
+    def generation(self) -> int:
+        return self._fleet.generation
+
+    def stats(self):
+        return self._fleet.stats()
+
+
 def _cmd_serve(args) -> int:
     """``serve``: compile once, supervise a fleet of ``--workers``
     server processes (default one -- the configuration the ``serve40``
@@ -741,24 +759,30 @@ def _cmd_serve(args) -> int:
     if args.reload and hasattr(signal, "SIGHUP"):
         signal.signal(signal.SIGHUP, lambda *_: reload_requested.set())
 
-    def do_reload() -> None:
+    def do_reload() -> int:
+        """Re-read ``--rules`` and hot-swap it: SIGHUP and the control
+        socket's ``RELOAD`` both land here."""
         try:
             generation = fleet.reload(rules=_read_rules(args.rules))
         except Exception as exc:  # noqa: BLE001 - operator-facing
             print(f"reload failed: {exc}", file=sys.stderr, flush=True)
-        else:
-            print(f"reloaded ruleset: generation {generation}", flush=True)
+            raise
+        print(f"reloaded ruleset: generation {generation}", flush=True)
+        return generation
 
     control = None
     if args.control:
-        control = ControlServer(fleet, args.control, on_stop=stop.set)
+        control = ControlServer(
+            _ServeControl(fleet, do_reload), args.control, on_stop=stop.set
+        )
         control.start()
         print(f"control socket at {args.control}", file=sys.stderr)
     try:
         while not stop.wait(0.2):
             if reload_requested.is_set():
                 reload_requested.clear()
-                do_reload()
+                with contextlib.suppress(Exception):
+                    do_reload()  # already reported; keep serving
     finally:
         print("draining...", file=sys.stderr)
         if control is not None:

@@ -87,10 +87,70 @@ def map_network(
     """
     bank = Bank(geometry=geometry)
     mapping = NetworkMapping(bank=bank)
+    atoms = _atoms(network, geometry, mapping)
 
-    # ------------------------------------------------------------------
-    # 1. Build placement atoms via union-find over module-port wires.
-    # ------------------------------------------------------------------
+    # First-fit-decreasing placement of atoms into PEs; each atom's
+    # (STEs, counters, bv bits) need is computed once.
+    ordered = sorted(
+        ((atom, (atom.ste_count, len(atom.counters), atom.bv_bits)) for atom in atoms),
+        key=lambda entry: (entry[1][0], entry[1][2]),
+        reverse=True,
+    )
+    # least need of any atom from position i on: a PE below it in some
+    # dimension can take nothing more and leaves the search for good
+    floors = [(0, 0, 0)] * len(ordered)
+    least = (geometry.stes_per_pe + 1, geometry.counters_per_pe + 1,
+             geometry.bit_vector_bits_per_pe + 1)
+    for i in range(len(ordered) - 1, -1, -1):
+        least = tuple(map(min, least, ordered[i][1]))
+        floors[i] = least
+    room: list[list[int]] = []  # per PE: STE, counter and bv-bit room left
+    open_pes: list[int] = []  # PEs some later atom may still fit, by index
+
+    def track_new_pes() -> None:
+        for pe in bank.pes[len(room):]:
+            room.append([pe.ste_room, pe.counter_room, pe.bv_bits_room])
+            open_pes.append(pe.index)
+
+    for i, (atom, need) in enumerate(ordered):
+        stes, counters, bits = need
+        if (
+            stes > geometry.stes_per_pe
+            or counters > geometry.counters_per_pe
+            or bits > geometry.bit_vector_bits_per_pe
+        ):
+            _place_oversized(atom, bank, mapping, geometry)
+            track_new_pes()
+            continue
+        target = None
+        floor_stes, floor_counters, floor_bits = floors[i]
+        j = 0
+        while j < len(open_pes):
+            left = room[open_pes[j]]
+            if stes <= left[0] and counters <= left[1] and bits <= left[2]:
+                target = bank.pes[open_pes[j]]
+                break
+            if left[0] < floor_stes or left[1] < floor_counters or left[2] < floor_bits:
+                del open_pes[j]
+            else:
+                j += 1
+        if target is None:
+            target = bank.new_pe()
+            track_new_pes()
+        _place(atom, target, mapping)
+        left = room[target.index]
+        left[0] -= stes
+        left[1] -= counters
+        left[2] -= bits
+    return mapping
+
+
+def _atoms(
+    network: Network, geometry: CamaGeometry, mapping: NetworkMapping
+) -> list[_Atom]:
+    """The placement atoms of ``network`` in node order, built by
+    union-find over module-port wires; port-group violations are
+    recorded on ``mapping``."""
     parent: dict[str, str] = {node_id: node_id for node_id in network.nodes}
 
     def find(x: str) -> str:
@@ -136,30 +196,7 @@ def map_network(
             atom.counters.append(node_id)
         elif isinstance(node, BitVectorNode):
             atom.bv_segments.append((node_id, node.hi))
-
-    # ------------------------------------------------------------------
-    # 2. First-fit-decreasing placement of atoms into PEs.
-    # ------------------------------------------------------------------
-    ordered = sorted(
-        atoms.values(), key=lambda a: (a.ste_count, a.bv_bits), reverse=True
-    )
-    for atom in ordered:
-        if (
-            atom.ste_count > geometry.stes_per_pe
-            or len(atom.counters) > geometry.counters_per_pe
-            or atom.bv_bits > geometry.bit_vector_bits_per_pe
-        ):
-            _place_oversized(atom, bank, mapping, geometry)
-            continue
-        target = None
-        for pe in bank.pes:
-            if pe.fits(atom.ste_count, len(atom.counters), atom.bv_bits):
-                target = pe
-                break
-        if target is None:
-            target = bank.new_pe()
-        _place(atom, target, mapping)
-    return mapping
+    return list(atoms.values())
 
 
 def _place(atom: _Atom, pe: ProcessingElement, mapping: NetworkMapping) -> None:

@@ -22,7 +22,12 @@ scan tables):
   same symbol set, the same start/report attributes, and the same
   (canonicalized) set of incoming signals.  Across a ruleset this
   folds the common prefixes of thousands of rules into one chain,
-  shrinking the STE bitmask width the scanner loops over.
+  shrinking the STE bitmask width the scanner loops over.  It is a
+  worklist, built like the Aho-Corasick goto trie it reproduces: the
+  incoming and successor sets are built once, every STE is keyed once
+  into a key -> STE table, and a merge re-keys only the successors of
+  the STE it drops -- so each edge is paid for per merge of its
+  source, not once per round of a whole-network fixpoint.
 
 Equivalence contract (asserted by ``tests/compiler/test_passes.py``):
 optimized networks produce the **same distinct (position, report_id)
@@ -34,6 +39,7 @@ why the Table 2 experiments pin ``opt_level=0``.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -84,9 +90,10 @@ def compute_alphabet_classes(
         )
     else:
         masks = network_or_classes
-    # signature[b] = bitset of STE indices whose class contains byte b
+    # signature[b] = bitset of the distinct masks containing byte b; STEs
+    # with equal masks cannot split a class, so each mask counts once
     signatures = [0] * 256
-    for index, mask in enumerate(masks):
+    for index, mask in enumerate(dict.fromkeys(masks)):
         bit = 1 << index
         while mask:
             low = mask & -mask
@@ -138,35 +145,34 @@ def _find_dead(network: Network) -> set[str]:
         in_edges[conn.target].append(conn)
         out_edges[conn.source].append(conn)
 
-    # can_fire: fixpoint over "may ever raise an output signal".
+    # can_fire: least fixpoint of "may ever raise an output signal",
+    # propagated along out-edges from the nodes that start firing.
     can_fire: dict[str, bool] = {node_id: False for node_id in nodes}
-    changed = True
-    while changed:
-        changed = False
-        for node_id, node in nodes.items():
-            if can_fire[node_id]:
-                continue
-            if isinstance(node, STE):
-                fires = not node.symbol_set.is_empty() and (
-                    node.start is not StartType.NONE
-                    or any(can_fire[c.source] for c in in_edges[node_id])
-                )
-            elif isinstance(node, CounterNode):
-                ports = {
-                    c.target_port for c in in_edges[node_id] if can_fire[c.source]
-                }
-                # a lo=0 counter satisfies lo <= count <= hi without any
-                # fst ever arriving, so `lst` alone can fire en_out
-                fires = "lst" in ports and (node.lo == 0 or "fst" in ports)
-            else:
-                assert isinstance(node, BitVectorNode)
-                fires = any(
-                    c.target_port == "body" and can_fire[c.source]
-                    for c in in_edges[node_id]
-                )
-            if fires:
-                can_fire[node_id] = True
-                changed = True
+
+    def fires(node_id: str) -> bool:
+        node = nodes[node_id]
+        if isinstance(node, STE):
+            return not node.symbol_set.is_empty() and (
+                node.start is not StartType.NONE
+                or any(can_fire[c.source] for c in in_edges[node_id])
+            )
+        if isinstance(node, CounterNode):
+            ports = {c.target_port for c in in_edges[node_id] if can_fire[c.source]}
+            # a lo=0 counter satisfies lo <= count <= hi without any
+            # fst ever arriving, so `lst` alone can fire en_out
+            return "lst" in ports and (node.lo == 0 or "fst" in ports)
+        assert isinstance(node, BitVectorNode)
+        return any(
+            c.target_port == "body" and can_fire[c.source] for c in in_edges[node_id]
+        )
+
+    work = list(nodes)
+    while work:
+        node_id = work.pop()
+        if can_fire[node_id] or not fires(node_id):
+            continue
+        can_fire[node_id] = True
+        work.extend(c.target for c in out_edges[node_id] if not can_fire[c.target])
 
     # useful: reaches a reporting node along connections.
     useful = {node_id for node_id, node in nodes.items() if node.report}
@@ -231,56 +237,91 @@ def share_prefixes(network: Network) -> int:
     context means the pair is enabled on exactly the same cycles, and
     an identical symbol set means it then activates on exactly the same
     bytes -- so routing the union of their outgoing edges from one
-    surviving STE is report-preserving.  Iterating re-canonicalizes
-    downstream nodes, collapsing shared rule prefixes chain by chain
-    (the classic multi-pattern prefix-tree collapse).
+    surviving STE is report-preserving.  Each merge re-canonicalizes
+    the dropped STE's successors, collapsing shared rule prefixes chain
+    by chain (the classic multi-pattern prefix-tree collapse).
+
+    The collapse is a worklist over one key -> STE table: every STE is
+    keyed once in node order, and a merge re-keys only the successors
+    of the STE it drops, so each connection is redirected at most once
+    per merge of its source.  The survivor of every merge is the STE
+    earliest in node order.  Two STEs with equal keys keep equal keys
+    under any later merge (an STE never shares a key with one of its
+    own sources), so the result is the unique fixpoint whatever order
+    the merges happen in.
     """
-    order = {node_id: i for i, node_id in enumerate(network.nodes)}
+    nodes = network.nodes
+    order = {node_id: i for i, node_id in enumerate(nodes)}
+    attrs: dict[str, tuple] = {}
+    incoming: dict[str, set[tuple[str, str]]] = {}
+    succ: dict[str, set[tuple[str, str]]] = {}
+    for ste in network.stes():
+        attrs[ste.id] = (ste.symbol_set.mask, ste.start, ste.report, ste.report_id)
+        incoming[ste.id] = set()
+        succ[ste.id] = set()
+    for conn in network.connections:
+        target_in = incoming.get(conn.target)
+        if target_in is None:
+            continue  # module inputs are not part of any key
+        if conn.source == conn.target:
+            target_in.add((_SELF, conn.source_port))
+            continue
+        target_in.add((conn.source, conn.source_port))
+        if conn.source in succ:
+            succ[conn.source].add((conn.target, conn.source_port))
+
     canon: dict[str, str] = {}
+    holder: dict[tuple, str] = {}  # key -> the live STE that holds it
+    held: dict[str, tuple] = {}  # live STE -> its key, while up to date
+    work = deque(incoming)
+    queued = set(incoming)
+
+    def rekey(ste_id: str) -> None:
+        key = held.pop(ste_id, None)
+        if key is not None and holder.get(key) == ste_id:
+            del holder[key]
+        if ste_id not in queued:
+            queued.add(ste_id)
+            work.append(ste_id)
+
+    while work:
+        node = work.popleft()
+        queued.discard(node)
+        if node in canon:
+            continue
+        key = (attrs[node], frozenset(incoming[node]))
+        other = holder.get(key)
+        if other is None:
+            holder[key] = node
+            held[node] = key
+            continue
+        keep, drop = (other, node) if order[other] < order[node] else (node, other)
+        canon[drop] = keep
+        held.pop(drop, None)
+        holder[key] = keep
+        held[keep] = key
+        # redirect the dropped STE's outgoing signals to the survivor
+        keep_succ = succ[keep]
+        for target, port in succ.pop(drop):
+            if target in canon:
+                continue  # folded already; its survivor has the edge
+            target_in = incoming[target]
+            target_in.discard((drop, port))
+            if target == keep:
+                target_in.add((_SELF, port))
+            else:
+                target_in.add((keep, port))
+                keep_succ.add((target, port))
+            rekey(target)
 
     def resolve(node_id: str) -> str:
         while node_id in canon:
             node_id = canon[node_id]
         return node_id
 
-    merged = 0
-    while True:
-        incoming: dict[str, set[tuple[str, str]]] = {}
-        for conn in network.connections:
-            target = resolve(conn.target)
-            if not isinstance(network.nodes[target], STE):
-                continue
-            source = resolve(conn.source)
-            incoming.setdefault(target, set()).add(
-                (_SELF if source == target else source, conn.source_port)
-            )
-        groups: dict[tuple, list[str]] = {}
-        for ste in network.stes():
-            if resolve(ste.id) != ste.id:
-                continue  # already folded away this round
-            key = (
-                ste.symbol_set.mask,
-                ste.start,
-                ste.report,
-                ste.report_id,
-                frozenset(incoming.get(ste.id, frozenset())),
-            )
-            groups.setdefault(key, []).append(ste.id)
-        changed = False
-        for members in groups.values():
-            if len(members) < 2:
-                continue
-            members.sort(key=order.__getitem__)
-            keep = members[0]
-            for drop in members[1:]:
-                canon[drop] = keep
-                merged += 1
-            changed = True
-        if not changed:
-            break
     if canon:
         network.merge_nodes({drop: resolve(drop) for drop in canon})
-    return merged
+    return len(canon)
 
 
 # ----------------------------------------------------------------------

@@ -205,8 +205,17 @@ class _BlockProgram:
         # identical symbol sets (all copies of an unfolded run) share a
         # row, so the per-block membership lane is built once per set
         match_rows = np.zeros((max(n, 1), tables.n_classes or 1), dtype=bool)
-        for c, mask in enumerate(tables.match_masks):
-            match_rows[block_modules._bits(mask), c] = True
+        if n and tables.match_masks:
+            # class masks are dense (a negated class sets most bits):
+            # unpack them all at once instead of one set bit at a time
+            width = (n + 7) // 8
+            raw = b"".join(mask.to_bytes(width, "little") for mask in tables.match_masks)
+            bits = np.unpackbits(
+                np.frombuffer(raw, dtype=np.uint8).reshape(-1, width),
+                axis=1,
+                bitorder="little",
+            )
+            match_rows[:n, : len(tables.match_masks)] = bits[:, :n].T
         row_index: dict[bytes, int] = {}
         self.row_of = [0] * n
         for i in range(n):

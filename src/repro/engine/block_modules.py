@@ -126,6 +126,7 @@ def _try_absorb(
     tables: TransitionTables,
     plan: ModulePlan,
     preds: list[list[int]],
+    mod_drivers: list[list[tuple[int, int]]],
     has_self: list[bool],
     always_eff: list[bool],
     start_flag: list[bool],
@@ -171,12 +172,8 @@ def _try_absorb(
     # fired last cycle" -- the closed forms lean on that equivalence.
     if set(preds[s]) != set(plan.pre_stes):
         return None
-    s_mod_drivers = set()
-    for j in range(tables.n_modules):
-        if (tables.out_ste_masks[j] >> s) & 1:
-            s_mod_drivers.add((j, SRC_OUT))
-        if (tables.aux_ste_masks[j] >> s) & 1 and j != m:
-            s_mod_drivers.add((j, SRC_AUX))
+    s_mod_drivers = set(mod_drivers[s])
+    s_mod_drivers.discard((m, SRC_AUX))
     if s_mod_drivers != set(plan.pre_mods):
         return None
     return s
@@ -221,9 +218,19 @@ def analyze(
         plan.pre_mods = md.get(PORT_PRE, ())
         plans.append(plan)
 
+    # mod_drivers[s]: the (module, SRC_*) outputs that enable STE s
+    mod_drivers: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for m in range(nm):
+        for w in _bits(tables.out_ste_masks[m]):
+            mod_drivers[w].append((m, SRC_OUT))
+        for w in _bits(tables.aux_ste_masks[m]):
+            mod_drivers[w].append((m, SRC_AUX))
+
     absorbed_of: dict[int, int] = {}
     for plan in plans:
-        s = _try_absorb(tables, plan, preds, has_self, always_eff, start_flag)
+        s = _try_absorb(
+            tables, plan, preds, mod_drivers, has_self, always_eff, start_flag
+        )
         plan.absorbed = s
         if s is not None:
             if s in absorbed_of:
@@ -309,17 +316,9 @@ def analyze(
         )
 
     mod_preds: list[tuple[tuple[int, int], ...]] = [()] * n
-    acc: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for m in range(nm):
-        for w in _bits(tables.out_ste_masks[m]):
-            if w not in absorbed_of:
-                acc[w].append((m, SRC_OUT))
-        for w in _bits(tables.aux_ste_masks[m]):
-            if w not in absorbed_of:
-                acc[w].append((m, SRC_AUX))
     for w in range(n):
-        if acc[w]:
-            mod_preds[w] = tuple(acc[w])
+        if mod_drivers[w] and w not in absorbed_of:
+            mod_preds[w] = tuple(mod_drivers[w])
 
     program = ModuleProgram()
     program.plans = plans

@@ -180,16 +180,18 @@ class Network:
                 node_id = mapping[node_id]
             return node_id
 
+        final: dict[str, str] = {}
         for drop, keep in mapping.items():
-            if drop not in self.nodes or resolve(keep) not in self.nodes:
+            final[drop] = resolve(keep)
+            if drop not in self.nodes or final[drop] not in self.nodes:
                 raise KeyError(f"unknown node in merge {drop!r} -> {keep!r}")
         keys: set[tuple[str, str, str, str]] = set()
         merged: list[Connection] = []
         for conn in self.connections:
             key = (
-                resolve(conn.source),
+                final.get(conn.source, conn.source),
                 conn.source_port,
-                resolve(conn.target),
+                final.get(conn.target, conn.target),
                 conn.target_port,
             )
             if key in keys:
@@ -239,15 +241,18 @@ class Network:
         replaced by a start attribute); each bit vector needs a
         ``body`` driver.
         """
+        driven: dict[str, set[str]] = {}
+        for conn in self.connections:
+            driven.setdefault(conn.target, set()).add(conn.target_port)
         for node in self.nodes.values():
             if isinstance(node, CounterNode):
-                ports = {c.target_port for c in self.incoming(node.id)}
+                ports = driven.get(node.id, ())
                 if "fst" not in ports or "lst" not in ports:
                     raise ValueError(f"counter {node.id} missing fst/lst wiring")
                 if "pre" not in ports and node.start is StartType.NONE:
                     raise ValueError(f"counter {node.id} has no pre and no start")
             elif isinstance(node, BitVectorNode):
-                ports = {c.target_port for c in self.incoming(node.id)}
+                ports = driven.get(node.id, ())
                 if "body" not in ports:
                     raise ValueError(f"bit vector {node.id} missing body wiring")
                 if "pre" not in ports and node.start is StartType.NONE:

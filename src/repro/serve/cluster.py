@@ -566,7 +566,10 @@ class LocalShardCluster:
 
     ``processes=False`` (default) runs every shard server on one
     private event loop in this process -- fastest startup, perfect for
-    tests.  ``processes=True`` forks one
+    tests.  It survives only as the tests' in-process fixture and as
+    the fallback where ``multiprocessing`` is unavailable: ``repro
+    cluster`` always asks for processes, and every shard of an
+    in-process cluster scans under one GIL.  ``processes=True`` forks one
     :class:`~repro.serve.worker.WorkerProcess` per shard (real CPU
     parallelism, the production-shaped dev topology); only where
     multiprocessing itself is unavailable does it degrade to

@@ -15,7 +15,9 @@ newline-framed UTF-8, one reply line per command::
 The server is deliberately duck-typed over its ``target``: anything
 with a ``generation`` attribute, ``stats() -> ServerStats``, and
 ``reload() -> int`` works -- a :class:`~repro.serve.fleet.WorkerFleet`
-directly (what ``repro serve --control`` passes).  ``STOP`` invokes the
+directly (its ``reload()`` recompiles the rules it holds), or the
+fleet as ``repro serve --control`` wraps it, whose ``reload()``
+re-reads ``--rules`` exactly as SIGHUP does.  ``STOP`` invokes the
 ``on_stop`` callback, so shutdown policy stays with the owner.
 
 Commands are handled sequentially per connection and the handler is

@@ -7,10 +7,13 @@ shared-prefix rulesets.  ``-O0`` additionally keeps byte-exact
 ``ActivityStats`` (the Table 2 experiments depend on it).
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.compiler.passes import (
+    _SELF,
     compute_alphabet_classes,
     eliminate_dead_nodes,
     run_passes,
@@ -26,6 +29,7 @@ from repro.regex.charclass import CharClass
 from repro.workloads.inputs import plant_matches, stream_for_style
 from repro.workloads.synth import (
     clamav_like,
+    module_heavy,
     protomata_like,
     snort_like,
     spamassassin_like,
@@ -99,6 +103,141 @@ class TestSharePrefixes:
         assert rs.network.ste_count() < before
         assert scan_bytes(rs.network, b"aaaX").reports == {(4, "r1")}
         assert scan_bytes(rs.network, b"aY").reports == {(2, "r2")}
+
+
+def _fixpoint_share_prefixes(network: Network) -> int:
+    """The oracle for :func:`share_prefixes`: the whole-network fixpoint
+    it replaced.  Every round rebuilds the canonical incoming-signal
+    sets over all connections, groups all surviving STEs by key and
+    folds each group into its member earliest in node order, until a
+    round merges nothing."""
+    order = {node_id: i for i, node_id in enumerate(network.nodes)}
+    canon: dict[str, str] = {}
+
+    def resolve(node_id: str) -> str:
+        while node_id in canon:
+            node_id = canon[node_id]
+        return node_id
+
+    merged = 0
+    while True:
+        incoming: dict[str, set[tuple[str, str]]] = {}
+        for conn in network.connections:
+            target = resolve(conn.target)
+            if not isinstance(network.nodes[target], STE):
+                continue
+            source = resolve(conn.source)
+            incoming.setdefault(target, set()).add(
+                (_SELF if source == target else source, conn.source_port)
+            )
+        groups: dict[tuple, list[str]] = {}
+        for ste in network.stes():
+            if resolve(ste.id) != ste.id:
+                continue  # already folded away this round
+            key = (
+                ste.symbol_set.mask,
+                ste.start,
+                ste.report,
+                ste.report_id,
+                frozenset(incoming.get(ste.id, frozenset())),
+            )
+            groups.setdefault(key, []).append(ste.id)
+        changed = False
+        for members in groups.values():
+            if len(members) < 2:
+                continue
+            members.sort(key=order.__getitem__)
+            keep = members[0]
+            for drop in members[1:]:
+                canon[drop] = keep
+                merged += 1
+            changed = True
+        if not changed:
+            break
+    if canon:
+        network.merge_nodes({drop: resolve(drop) for drop in canon})
+    return merged
+
+
+def _shuffled(network: Network, seed: int) -> Network:
+    """``network`` with its nodes and connections in a random order, so
+    an STE can come before the sources it is keyed by."""
+    rng = random.Random(seed)
+    nodes = list(network.nodes.values())
+    connections = list(network.connections)
+    rng.shuffle(nodes)
+    rng.shuffle(connections)
+    out = Network(network.id)
+    for node in nodes:
+        out.add(node)
+    for conn in connections:
+        out.connect(conn.source, conn.source_port, conn.target, conn.target_port)
+    return out
+
+
+def _assert_shares_like_fixpoint(rules, shuffle=None, **options) -> int:
+    """The worklist and the fixpoint leave the identical network: same
+    node order, same connection list, same merged count."""
+    fast = compile_ruleset(rules, **options).network
+    slow = compile_ruleset(rules, **options).network
+    if shuffle is not None:
+        fast, slow = _shuffled(fast, shuffle), _shuffled(slow, shuffle)
+    eliminate_dead_nodes(fast)
+    eliminate_dead_nodes(slow)
+    merged = share_prefixes(fast)
+    assert merged == _fixpoint_share_prefixes(slow)
+    assert list(fast.nodes) == list(slow.nodes)
+    assert fast.connections == slow.connections
+    return merged
+
+
+class TestWorklistMatchesFixpoint:
+    @pytest.mark.parametrize(
+        "factory, total",
+        [
+            (snort_like, 120),
+            (suricata_like, 120),
+            (protomata_like, 80),
+            (spamassassin_like, 120),
+            (clamav_like, 120),
+            (module_heavy, 24),
+        ],
+    )
+    def test_synthetic_suites_unfold_threshold_zero(self, factory, total):
+        rules = factory(total=total, seed=29).patterns()
+        assert _assert_shares_like_fixpoint(rules, unfold_threshold=0) > 0
+        # out of node order, survivors and re-keying both matter
+        _assert_shares_like_fixpoint(rules, shuffle=total, unfold_threshold=0)
+
+    def test_snort_like_fully_unfolded(self):
+        rules = snort_like(total=40).patterns()
+        merged = _assert_shares_like_fixpoint(rules, unfold_threshold=float("inf"))
+        assert merged > 0
+
+    @given(
+        rules=st.lists(
+            st.tuples(
+                st.text("abc", min_size=1, max_size=4),
+                st.sampled_from(
+                    ["", "+", "x", "$", "[^a]a{2,4}", ".{2,5}y", "(b|cd)z", "c*"]
+                ),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=10,
+        ),
+        threshold=st.sampled_from([0, float("inf")]),
+        shuffle=st.one_of(st.none(), st.integers(min_value=0, max_value=2**16)),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_property_random_mixed_rulesets(self, rules, threshold, shuffle):
+        patterns = [
+            (f"r{i}", ("^" if anchored else "") + head + tail)
+            for i, (head, tail, anchored) in enumerate(rules)
+        ]
+        _assert_shares_like_fixpoint(
+            patterns, shuffle=shuffle, unfold_threshold=threshold
+        )
 
 
 class TestDeadNodeElimination:

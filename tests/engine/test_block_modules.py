@@ -24,7 +24,15 @@ from repro.compiler.pipeline import compile_pattern, compile_ruleset
 from repro.engine.backends import resolve_backend
 from repro.engine.block import BlockScanner, BlockSweepStats, _program_for
 from repro.engine.scanner import StreamScanner
-from repro.engine.tables import compile_tables
+from repro.engine.tables import (
+    KIND_BIT_VECTOR,
+    PORT_BODY,
+    PORT_FST,
+    PORT_LST,
+    SRC_AUX,
+    SRC_OUT,
+    compile_tables,
+)
 from repro.workloads import network_stream, plant_matches
 from repro.workloads.synth import module_heavy, snort_like
 
@@ -74,6 +82,43 @@ def _assert_every_split_exact(tables, data, block_size, splits=None):
         assert sweep.committed_blocks > 0, context
 
 
+def _naive_try_absorb(tables, plan, preds, has_self, always_eff, start_flag):
+    """The oracle for ``block_modules._try_absorb``: the same templates,
+    with the module drivers of the candidate STE found by shifting every
+    module's out/aux mask."""
+    m = plan.index
+    aux_mask = tables.aux_ste_masks[m]
+    if aux_mask == 0 or aux_mask & (aux_mask - 1):
+        return None
+    s = aux_mask.bit_length() - 1
+    if always_eff[s] or has_self[s] or tables.aux_module_hooks[m] or plan.all_input:
+        return None
+    if start_flag[s] != tables.module_initial_pre[m]:
+        return None
+    hooks = set(tables.ste_module_hooks[s] or ())
+    if plan.kind == KIND_BIT_VECTOR:
+        if hooks != {(m, PORT_BODY)} or plan.body_stes != (s,) or plan.body_mods:
+            return None
+    else:
+        if hooks != {(m, PORT_FST), (m, PORT_LST)}:
+            return None
+        if plan.fst_stes != (s,) or plan.lst_stes != (s,):
+            return None
+        if plan.fst_mods or plan.lst_mods:
+            return None
+    if set(preds[s]) != set(plan.pre_stes):
+        return None
+    s_mod_drivers = set()
+    for j in range(tables.n_modules):
+        if (tables.out_ste_masks[j] >> s) & 1:
+            s_mod_drivers.add((j, SRC_OUT))
+        if (tables.aux_ste_masks[j] >> s) & 1 and j != m:
+            s_mod_drivers.add((j, SRC_AUX))
+    if s_mod_drivers != set(plan.pre_mods):
+        return None
+    return s
+
+
 class TestAnalyze:
     """Which tables the sweep absorbs vs. rejects."""
 
@@ -97,6 +142,40 @@ class TestAnalyze:
         # (ab){2,3}: both body STEs drive the counter's fst/lst ports,
         # outside every absorption template -> rejected
         assert not BlockScanner.can_sweep(_tables(r"x(ab){2,3}y"))
+
+    @pytest.mark.parametrize(
+        "suite", [module_heavy(24), snort_like(40)], ids=lambda s: s.name
+    )
+    def test_absorbed_stes_match_the_naive_driver_scan(self, suite):
+        # the module drivers of each STE come from one inverted map; the
+        # oracle shifts every module's out/aux mask for every module
+        tables = compile_tables(compile_ruleset(suite.patterns(), opt_level=1).network)
+        program = block_engine._BlockProgram(tables)
+        assert program.sweep_ok
+        absorbed = {plan.index: plan.absorbed for plan in program.mod_plans}
+        assert any(s is not None for s in absorbed.values())
+        for plan in program.mod_plans:
+            want = _naive_try_absorb(
+                tables,
+                plan,
+                program.preds,
+                program.has_self,
+                program.always_eff_flag,
+                program.start_flag,
+            )
+            assert absorbed[plan.index] == want, plan.index
+        for w in range(tables.n_stes):
+            naive = tuple(
+                (m, src)
+                for m in range(tables.n_modules)
+                for src, masks in (
+                    (SRC_OUT, tables.out_ste_masks),
+                    (SRC_AUX, tables.aux_ste_masks),
+                )
+                if (masks[m] >> w) & 1
+            )
+            want = () if w in absorbed.values() else naive
+            assert program.mod_preds[w] == want, w
 
     def test_module_free_tables_unchanged(self):
         # the module-free case of the same analysis: accepted, no

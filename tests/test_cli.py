@@ -1,8 +1,32 @@
 """Tests for the command-line interface."""
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import main
+
+
+def _cli_env() -> dict:
+    """The environment a ``python -m repro`` subprocess needs to import
+    this checkout."""
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def _connect_json(port, tagged, env) -> dict:
+    """``repro connect --json`` of the tagged-line file ``tagged``."""
+    out = subprocess.run(
+        [sys.executable, "-m", "repro", "connect",
+         "--port", port, "--input", str(tagged), "--json"],
+        capture_output=True, text=True, env=env, timeout=60,
+    ).stdout
+    return json.loads(out)
 
 
 class TestAnalyze:
@@ -374,8 +398,6 @@ class TestRulesCommand:
         assert "local.rules:31 [negated-content]" in out
 
     def test_json_report(self, capsys):
-        import json
-
         assert main(["rules", self.FIXTURE, "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["total"] == 16
@@ -387,8 +409,6 @@ class TestRulesCommand:
         assert all(r["reason"] and r["origin"] for r in rejected)
 
     def test_json_compile_cold_then_warm(self, tmp_path, capsys):
-        import json
-
         cache = str(tmp_path / "cache")
         assert main(["rules", self.FIXTURE, "--json", "--cache-dir", cache]) == 0
         cold = json.loads(capsys.readouterr().out)
@@ -501,7 +521,6 @@ class TestServeConnect:
         """`connect --json` emits the machine-readable schema of
         docs/SERVING.md: per-stream summaries with generation-stamped
         events, totals, and the server STATS snapshot."""
-        import json
 
         from repro.matching import RulesetMatcher
 
@@ -614,21 +633,14 @@ class TestServeConnect:
         fleet and as a 2-worker one: ready line (compiled-rule count,
         skipped-rule warning), SIGHUP hot reload after editing the
         rule file, SIGTERM drain summary."""
-        import json
-        import os
         import signal
-        import subprocess
         import sys as _sys
         import time
 
         rules = tmp_path / "rules.txt"
         tagged = tmp_path / "tagged.txt"
         tagged.write_bytes(b"s\tza\ns\tbc old7 new!\n")
-        env = dict(os.environ)
-        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p
-        )
+        env = _cli_env()
 
         def roundtrip(workers, worker_args):
             # three lines, two compile: the ready line counts the latter
@@ -649,12 +661,7 @@ class TestServeConnect:
                 port = ready.split(" on ")[1].split(" ")[0].split(":")[1]
 
                 def connect_json():
-                    out = subprocess.run(
-                        [_sys.executable, "-m", "repro", "connect",
-                         "--port", port, "--input", str(tagged), "--json"],
-                        capture_output=True, text=True, env=env, timeout=60,
-                    ).stdout
-                    return json.loads(out)
+                    return _connect_json(port, tagged, env)
 
                 before = connect_json()
                 assert before["streams"]["s"]["generation"] == 0
@@ -699,3 +706,62 @@ class TestServeConnect:
 
         roundtrip(1, [])
         roundtrip(2, ["--workers", "2"])
+
+    def test_serve_control_reload_rereads_rules(self, tmp_path):
+        """``RELOAD`` on ``--control`` is SIGHUP's reload: it re-reads the
+        edited ``--rules`` file; a file that compiles nothing is refused
+        over the socket and the fleet keeps the generation it had."""
+        import time
+
+        from repro.serve import ControlClient
+
+        rules = tmp_path / "rules.txt"
+        rules.write_text("hit\tabc\ngone\told[0-9]\n")
+        tagged = tmp_path / "tagged.txt"
+        tagged.write_bytes(b"s\tza\ns\tbc old7 new!\n")
+        sock = str(tmp_path / "ctl.sock")
+        env = _cli_env()
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--rules", str(rules),
+             "--port", "0", "--control", sock],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env,
+        )
+        try:
+            ready = proc.stdout.readline()
+            assert "serving 2 rules on" in ready, ready
+            port = ready.split(" on ")[1].split(" ")[0].split(":")[1]
+            deadline = time.monotonic() + 30
+            while not os.path.exists(sock) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            before = _connect_json(port, tagged, env)
+            assert {e["rule"] for e in before["streams"]["s"]["events"]} == {
+                "hit", "gone"
+            }
+
+            rules.write_text("hit\tabc\nfresh\tnew!\n")
+            with ControlClient(sock) as ctl:
+                assert ctl.reload() == 1
+                after = _connect_json(port, tagged, env)
+                assert after["streams"]["s"]["generation"] == 1
+                assert {e["rule"] for e in after["streams"]["s"]["events"]} == {
+                    "hit", "fresh"
+                }
+
+                rules.write_text("bad\t(a)\\1\n")
+                assert ctl.command("RELOAD").startswith("ERR ")
+                assert ctl.generation() == 1
+                ctl.stop()
+            remaining = proc.communicate(timeout=60)[0]
+            assert proc.returncode == 0
+            assert "reloaded ruleset: generation 1" in remaining
+            assert "reload failed:" in remaining
+        finally:
+            if proc.poll() is None:
+                # SIGTERM drains the fleet; a SIGKILLed supervisor would
+                # leave its forked worker running
+                proc.terminate()
+                try:
+                    proc.communicate(timeout=30)
+                except subprocess.TimeoutExpired:
+                    proc.kill()
+                    proc.communicate(timeout=30)
