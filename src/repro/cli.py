@@ -8,7 +8,7 @@ Commands mirror the toolchain stages:
   (``--cache-dir``) so later ``scan`` runs warm-start;
 * ``scan``     -- stream a file (or stdin) through a rule set in chunks
   on a registry-selected execution backend (``--engine auto`` picks the
-  fastest available; optionally sharded); ``-O1`` enables the
+  fastest available); ``-O1`` enables the
   optimisation passes, ``--cache-dir`` reuses/creates cached
   compilations, ``--verbose`` reports backend availability, compile/
   cache timing, and per-rule skip reasons.  With ``--streams`` the
@@ -26,8 +26,9 @@ Commands mirror the toolchain stages:
   server and report per-stream matches;
 * ``cluster``  -- scatter-gather over network ruleset shards
   (:mod:`repro.serve.cluster`): either spawn M local shard servers
-  from one rule file (``--rules``/``--shards``, each server holding a
-  round-robin slice) and serve until SIGTERM, or attach to an existing
+  from one rule file (``--rules``/``--shards``, each server process
+  holding a round-robin slice -- the one way to split a ruleset) and
+  serve until SIGTERM, or attach to an existing
   shard fleet (``--attach host:port,...``); with ``--input`` the
   spawned or attached cluster one-shots a tagged-chunk scan whose
   merged per-stream results equal an offline ``scan --streams`` run;
@@ -66,7 +67,6 @@ from .hardware.cost import area_of_mapping
 from .matching import RulesetMatcher
 from .mnrl.serialize import dumps, save
 from .serve.cluster import ClusterPartialResultError
-from .serve.worker import MatcherSpec
 from .session import MultiStreamScanner, match_dict
 from .workloads.stats import census
 from .workloads.synth import suite_by_name
@@ -84,12 +84,11 @@ def _positive_count(text: str) -> int:
 
 
 def _add_compile_options(
-    parser, *, cache_help: str, engine_help: Optional[str] = None,
-    shards: bool = False,
+    parser, *, cache_help: str, engine_help: Optional[str] = None
 ) -> None:
     """Declare the compile options once for every subcommand that
-    builds a ruleset (``--engine``/``--shards`` only where the command
-    also executes one); :func:`_compile_options` reads them back."""
+    builds a ruleset (``--engine`` only where the command also executes
+    one); :func:`_compile_options` reads them back."""
     parser.add_argument(
         "--threshold",
         type=float,
@@ -113,13 +112,6 @@ def _add_compile_options(
             choices=engine_choices(),
             default=AUTO_ENGINE,
             help=engine_help,
-        )
-    if shards:
-        parser.add_argument(
-            "--shards",
-            type=_positive_count,
-            default=1,
-            help="round-robin the rule set over N independent shards",
         )
 
 
@@ -198,7 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
         "stream = scalar interpreter; block = NumPy vectorized "
         "block scanner (if numpy is installed); reference = "
         "node-by-node simulator",
-        shards=True,
     )
     p_scan.add_argument(
         "--streams",
@@ -234,7 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
         p_serve,
         cache_help="warm-start from (and populate) the persistent ruleset cache",
         engine_help="execution backend for every served session",
-        shards=True,
     )
     p_serve.add_argument(
         "--queue-depth", type=int, default=32,
@@ -538,17 +528,17 @@ def _chunks(handle, size: int):
 
 
 def _cmd_scan(args) -> int:
-    matcher = _build_matcher(args)
+    matcher = RulesetMatcher(
+        _read_rules(args.rules, fmt=args.format), **_compile_options(args)
+    )
     if args.verbose:
-        infos = getattr(matcher, "compile_infos", [matcher.compile_info])
-        for index, info in enumerate(infos):
-            shard = f"shard {index}: " if len(infos) > 1 else ""
-            source = "cache hit (warm start)" if info.cache_hit else "fresh compile"
-            print(
-                f"{shard}compiled in {info.seconds * 1e3:.1f} ms "
-                f"[{source}, -O{info.opt_level}; {_phases_text(info)}]",
-                file=sys.stderr,
-            )
+        info = matcher.compile_info
+        source = "cache hit (warm start)" if info.cache_hit else "fresh compile"
+        print(
+            f"compiled in {info.seconds * 1e3:.1f} ms "
+            f"[{source}, -O{info.opt_level}; {_phases_text(info)}]",
+            file=sys.stderr,
+        )
         for rule_id, reason in matcher.skipped:
             print(f"skipped {rule_id}: {reason}", file=sys.stderr)
         for info in available_backends():
@@ -677,14 +667,6 @@ def _scan_multi_stream(matcher, args, verb: str, suffix: str) -> int:
     return 0
 
 
-def _build_matcher(args):
-    """Compile the rule file with the scan/serve option set."""
-    rules = _read_rules(args.rules, fmt=getattr(args, "format", "native"))
-    return MatcherSpec(
-        tuple(rules), shards=args.shards, **_compile_options(args)
-    ).build()
-
-
 def _serve_summary(stats) -> None:
     print(
         f"served {stats.connections_total} connection(s), "
@@ -730,7 +712,6 @@ def _cmd_serve(args) -> int:
         port=args.port,
         queue_depth=args.queue_depth,
         threads=args.threads,
-        shards=args.shards,
         **_compile_options(args),
     )
     try:

@@ -8,7 +8,9 @@ occurrence of bounded repetition ``r{m,n}``:
 * counter-unambiguous             -> counter module (any body shape,
                                      Fig. 6);
 * counter-ambiguous, body is one
-  character class                 -> bit-vector module (Fig. 7);
+  character class                 -> bit-vector module (Fig. 7), if
+                                     ``n`` fits one PE's 2000-bit
+                                     module (else unfold);
 * counter-ambiguous, general body -> unfold ("use (partial) unfolding
                                      for other cases" -- the paper
                                      handles the rare general ambiguous
@@ -32,6 +34,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
+from ..hardware.params import GEOMETRY
 from ..mnrl.network import Network
 from ..mnrl.nodes import BitVectorNode, CounterNode, STE, StartType
 from ..regex.ast import (
@@ -99,7 +102,8 @@ def plan_decisions(
     ``module_unsafe`` lists unambiguous instances that nevertheless can
     hold two simultaneous body tokens -- one counter register cannot
     serve them (see :mod:`repro.analysis.module_safety`), so they
-    unfold instead.
+    unfold instead.  A bit vector needs ``n`` bits of one PE's module
+    (segments do not span PEs), so a wider one unfolds too.
     """
     from ..regex.ast import collect_repeats
 
@@ -111,7 +115,10 @@ def plan_decisions(
         if node.hi <= unfold_threshold or node.inner.nullable():
             decisions[inst.index] = Decision.UNFOLD
         elif ambiguous.get(inst.index, True) or inst.index in module_unsafe:
-            if isinstance(node.inner, Sym):
+            if (
+                isinstance(node.inner, Sym)
+                and node.hi <= GEOMETRY.bit_vector_bits_per_pe
+            ):
                 decisions[inst.index] = Decision.BITVECTOR
             else:
                 decisions[inst.index] = Decision.UNFOLD

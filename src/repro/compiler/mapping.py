@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from ..hardware.cama import Bank, ProcessingElement
+from ..hardware.cama import Bank, BankAllocationError, ProcessingElement
 from ..hardware.params import CamaGeometry, GEOMETRY
 from ..mnrl.network import Network
 from ..mnrl.nodes import BitVectorNode, CounterNode, STE
@@ -78,12 +78,15 @@ class _Atom:
 def map_network(
     network: Network, geometry: CamaGeometry = GEOMETRY
 ) -> NetworkMapping:
-    """Place ``network`` onto PEs; never fails, records violations.
+    """Place ``network`` onto PEs, recording constraint violations.
 
     Oversized atoms (more port-wired STEs than one PE holds) are split
     with a violation note -- real toolchains would re-compile such
     rules with unfolding, and our compiler's policies never produce
-    them, but imported MNRL files might.
+    them, but imported MNRL files might.  The one thing no split can
+    place is a single bit vector wider than a PE's module (segments
+    never span PEs): that raises
+    :class:`~repro.hardware.cama.BankAllocationError` naming the node.
     """
     bank = Bank(geometry=geometry)
     mapping = NetworkMapping(bank=bank)
@@ -212,6 +215,12 @@ def _place_oversized(
     geometry: CamaGeometry,
 ) -> None:
     """Split an oversized atom across fresh PEs, recording the breach."""
+    for node_id, bits in atom.bv_segments:
+        if bits > geometry.bit_vector_bits_per_pe:
+            raise BankAllocationError(
+                f"bit vector {node_id!r} needs {bits} bits; one PE's module "
+                f"holds {geometry.bit_vector_bits_per_pe}"
+            )
     label = atom.counters[0] if atom.counters else (
         atom.bv_segments[0][0] if atom.bv_segments else atom.stes[0]
     )

@@ -14,10 +14,11 @@ package is the software analogue of that split:
 * :mod:`repro.engine.backends` -- the pluggable execution-backend
   subsystem: a registry mapping engine names (``"stream"``,
   ``"block"``, ``"reference"``, plus ``"auto"`` selection) to scanner
-  factories, shared by the facade, the parallel front-ends, and the
+  factories, shared by the facade, the in-process matchers, and the
   CLI;
-* :mod:`repro.engine.parallel` -- batch scanning over worker processes
-  and round-robin ruleset sharding with merged results.
+* :mod:`repro.engine.parallel` -- the in-process matcher bodies, the
+  round-robin shard policy and per-shard result merge the cluster
+  shares, and the serving layer's feed-offload threads.
 
 :class:`~repro.hardware.simulator.NetworkSimulator` remains the
 reference semantics; every backend's contract is exact
@@ -36,7 +37,7 @@ from .backends import (
     resolve_backend,
 )
 from .block import BlockScanner
-from .parallel import ShardedMatcher, merge_scan_results, scan_streams, shard_rules
+from .parallel import ShardedMatcher, merge_scan_results, shard_rules
 from .scanner import StreamScanner, scan_bytes
 from .tables import TransitionTables, compile_tables
 
@@ -48,7 +49,6 @@ __all__ = [
     "scan_bytes",
     "ShardedMatcher",
     "merge_scan_results",
-    "scan_streams",
     "shard_rules",
     "Backend",
     "BackendInfo",

@@ -1,62 +1,42 @@
-"""Batch and sharded scanning front-ends.
+"""In-process matcher bodies, the shard policy, and the serving thread pool.
 
-Two scale-out axes, matching how CAMA deployments scale (Section 4.1:
-banks of arrays running rule subsets side by side, fed by independent
-traffic streams):
+Scale-out lives in one place: the cluster
+(:mod:`repro.serve.cluster`) runs rule subsets in separate processes
+side by side, the way CAMA runs them on separate banks (Section 4.1).
+This module holds what the local matchers and that cluster share:
 
-* **many streams, one ruleset** -- :func:`scan_streams` fans a batch of
-  input buffers over worker processes; the precompiled
-  :class:`~repro.engine.tables.TransitionTables` (plain ints/lists)
-  pickle once per worker via the pool initializer, so workers never
-  recompile.
-* **one stream, many shards** -- :class:`ShardedMatcher` splits a rule
-  set round-robin across independently compiled
-  :class:`~repro.matching.RulesetMatcher` shards (mirroring rules
-  spread over separate banks), scans them all, and merges the per-shard
-  :class:`~repro.matching.ScanResult`\\ s (union of matches, summed
+* :func:`shard_rules` -- *the* round-robin shard-assignment policy;
+* :func:`merge_scan_results` -- the per-shard
+  :class:`~repro.matching.ScanResult` merge (union of matches, summed
   energy -- each shard's bank burns its own power -- and merged
-  :class:`~repro.matching.CompileInfo` provenance).
-
-:class:`ShardedMatcher` implements the same
-:class:`~repro.session.Matcher` protocol as the single-network facade:
-:meth:`ShardedMatcher.session` opens a
-:class:`~repro.session.MatchSession` holding one sub-scanner per shard
-and merges their incremental :class:`~repro.session.Match` emission in
-offset order, so session-oriented serving code (including
-:class:`~repro.session.MultiStreamScanner` multi-stream demultiplexing
-over ``scan_streams``-style batches) never distinguishes sharded from
-unsharded matchers.
+  :class:`~repro.matching.CompileInfo` provenance);
+* :class:`LocalMatcher` -- the session body behind both in-process
+  :class:`~repro.session.Matcher` implementations;
+* :class:`ShardedMatcher` -- the same shard policy inside one process:
+  the in-process reference the cluster is checked against (every shard
+  is scanned under one GIL, so K shards cost K scans);
+* :class:`FeedPool` -- the serving layer's ``feed()`` offload threads.
 
 Every shard's tables carry their own alphabet-class map (the partition
 is per-network, so a shard's scanners all share one 256-byte map plus
 ``k`` class masks); compile options -- including ``opt_level``,
 ``cache_dir`` for the persistent ruleset cache, and ``engine`` (an
 execution-backend name from :mod:`repro.engine.backends`, or
-``"auto"``) -- forward to each shard's matcher unchanged, and the
-backend *name* ships to worker processes, which re-resolve it against
-their own registry per shard.
-
-Process pools are best-effort: ``processes <= 1``, pool start-up
-failure, or unpicklable platforms silently fall back to in-process
-serial scanning with identical results.
+``"auto"``) -- forward to each shard's matcher unchanged.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence, TYPE_CHECKING
 
-from ..hardware.simulator import ActivityStats
 from ..session import MatchSession, MatchSink, SessionPart, SessionScans
-from .backends import AUTO_ENGINE, resolve_backend
-from .scanner import Chunk, coerce_chunk
-from .tables import TransitionTables
+from .backends import AUTO_ENGINE
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..matching import CompileInfo, ResourceSummary, RulesetMatcher, ScanResult
 
 __all__ = [
     "shard_rules",
-    "scan_streams",
     "merge_scan_results",
     "mp_context",
     "LocalMatcher",
@@ -68,12 +48,10 @@ __all__ = [
 def mp_context(prefer: Sequence[str] = ("fork", "spawn")):
     """The best available :mod:`multiprocessing` context, or ``None``.
 
-    ``fork`` first: workers inherit the parent's compiled tables and
-    module state for free (the process-grid idiom of :func:`_run_pool`
-    and the serve fleet's worker spawn both want that); ``spawn`` as
+    ``fork`` first: the serve fleet's workers and the cluster's shard
+    processes inherit the parent's module state for free; ``spawn`` as
     the portable fallback.  ``None`` means no multiprocessing at all
-    (restricted sandbox) -- callers degrade the same way the pools in
-    this module do.
+    (restricted sandbox) -- callers degrade to in-process serving.
     """
     try:
         import multiprocessing
@@ -117,13 +95,10 @@ class FeedPool:
 
     The serving layer (:mod:`repro.serve`) must keep backend scan work
     off the event loop, but a :class:`~repro.session.MatchSession`
-    carries live mutable scanner state, so -- unlike the per-stream
-    batch grid of :func:`scan_streams`, which ships picklable tables to
-    *processes* -- serving offload uses **threads** sharing the
-    compiled tables.  Same pragmatics as :func:`_run_pool`, though: if
-    a pool cannot be created (restricted sandbox, no threading), work
-    degrades to synchronous in-caller execution with identical
-    results.
+    carries live mutable scanner state, so serving offload uses
+    **threads** sharing the compiled tables.  If a pool cannot be
+    created (restricted sandbox, no threading), work degrades to
+    synchronous in-caller execution with identical results.
 
     :meth:`submit` always returns a :class:`concurrent.futures.Future`
     (already resolved on the degraded path), so callers -- including
@@ -195,80 +170,6 @@ class FeedPool:
         return False
 
 
-_WORKER_TABLES: Optional[list[TransitionTables]] = None
-_WORKER_ENGINE: str = AUTO_ENGINE
-
-
-def _pool_init(tables_list: list[TransitionTables], engine: str = AUTO_ENGINE) -> None:
-    global _WORKER_TABLES, _WORKER_ENGINE
-    _WORKER_TABLES = tables_list
-    _WORKER_ENGINE = engine
-
-
-def _pool_scan(task: tuple[int, int, bytes]):
-    shard_index, stream_index, data = task
-    assert _WORKER_TABLES is not None
-    tables = _WORKER_TABLES[shard_index]
-    # resolved per task against this shard's tables: "auto" may pick a
-    # different backend per shard (one shard module-free, one not)
-    scanner = resolve_backend(_WORKER_ENGINE, tables).make_scanner(tables)
-    scanner.feed(data)
-    scanner.finish()
-    return shard_index, stream_index, len(data), scanner.reports, scanner.stats
-
-
-def scan_streams(
-    tables_list: Sequence[TransitionTables],
-    streams: Sequence[Chunk],
-    processes: int = 0,
-    engine: str = AUTO_ENGINE,
-) -> list[list[tuple[int, set, ActivityStats]]]:
-    """Scan every stream against every shard's tables.
-
-    Returns ``result[stream_index][shard_index]`` as
-    ``(bytes_scanned, distinct reports, stats)``.  With
-    ``processes > 1`` the (shard, stream) grid is fanned over a process
-    pool; otherwise (or if the pool cannot start) it runs serially.
-    ``engine`` is any registry name (or ``"auto"``); the choice ships
-    to the workers, which resolve it against their own registry.
-    """
-    if engine != AUTO_ENGINE:
-        resolve_backend(engine)  # fail fast on unknown/unavailable names
-    payloads = [bytes(coerce_chunk(stream)) for stream in streams]
-    tasks = [
-        (shard_index, stream_index, data)
-        for stream_index, data in enumerate(payloads)
-        for shard_index in range(len(tables_list))
-    ]
-    outcomes = None
-    if processes > 1 and len(tasks) > 1:
-        outcomes = _run_pool(list(tables_list), tasks, processes, engine)
-    if outcomes is None:
-        _pool_init(list(tables_list), engine)
-        outcomes = [_pool_scan(task) for task in tasks]
-
-    results: list[list] = [[None] * len(tables_list) for _ in payloads]
-    for shard_index, stream_index, n_bytes, reports, stats in outcomes:
-        results[stream_index][shard_index] = (n_bytes, reports, stats)
-    return results
-
-
-def _run_pool(tables_list, tasks, processes, engine):
-    try:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(
-            max_workers=processes,
-            initializer=_pool_init,
-            initargs=(tables_list, engine),
-        ) as pool:
-            return list(pool.map(_pool_scan, tasks))
-    except Exception:
-        # No usable multiprocessing here (restricted sandbox, missing
-        # semaphores, ...): correctness over parallelism.
-        return None
-
-
 def merge_scan_results(results: "Sequence[ScanResult]") -> "ScanResult":
     """Merge per-shard results for the *same* input stream.
 
@@ -320,7 +221,7 @@ def merge_scan_results(results: "Sequence[ScanResult]") -> "ScanResult":
 
 
 class LocalMatcher(SessionScans):
-    """Sessions and pooled batches over in-process shard matchers.
+    """Sessions over in-process shard matchers.
 
     The one body behind both local :class:`~repro.session.Matcher`
     implementations: a :class:`~repro.matching.RulesetMatcher` is its
@@ -330,8 +231,6 @@ class LocalMatcher(SessionScans):
     """
 
     engine: str
-    #: default worker-process count for :meth:`scan_many` (0/1 = serial)
-    processes: int = 0
     #: the compiled matchers a session spans, in shard order
     _shard_matchers: "Sequence[RulesetMatcher]"
 
@@ -364,48 +263,19 @@ class LocalMatcher(SessionScans):
         ]
         return MatchSession(parts, stream=stream, on_match=on_match)
 
-    def scan_many(
-        self,
-        streams: Sequence[Chunk],
-        processes: Optional[int] = None,
-        engine: Optional[str] = None,
-    ) -> list["ScanResult"]:
-        """Scan a batch of independent streams; one merged result each.
-
-        With ``processes > 1`` the (shard, stream) grid fans out over
-        worker processes (the precompiled tables ship to each worker
-        once, and the backend choice ships with them); otherwise each
-        stream runs through an in-process session.  Results are
-        identical either way.
-        """
-        if processes is None:
-            processes = self.processes
-        if processes <= 1:
-            return super().scan_many(streams, engine=engine)
-        shards = self._shard_matchers
-        grid = scan_streams(
-            [shard.tables for shard in shards],
-            streams,
-            processes=processes,
-            engine=engine or self.engine,
-        )
-        return [
-            merge_scan_results(
-                [
-                    shard._result_from_reports(reports, n_bytes, stats)
-                    for shard, (n_bytes, reports, stats) in zip(shards, per_shard)
-                ]
-            )
-            for per_shard in grid
-        ]
-
 
 class ShardedMatcher(LocalMatcher):
-    """Round-robin ruleset sharding over independent matchers.
+    """Round-robin ruleset sharding over independent in-process matchers.
 
     Same surface as :class:`~repro.matching.RulesetMatcher` for the
     scanning entry points (:meth:`scan`, :meth:`scan_stream`,
     :meth:`scan_many`), with per-shard results merged transparently.
+    Every shard scans under one GIL, so this buys no speed: splitting a
+    ruleset to run it in parallel is ``repro cluster``'s job
+    (:class:`~repro.serve.cluster.LocalShardCluster`).  It is kept as
+    the in-process reference the cluster's results are checked against
+    (same :func:`shard_rules` policy, same merge) and as the multi-shard
+    :class:`~repro.session.Matcher` the session tests cover.
 
     >>> from repro import ShardedMatcher
     >>> sharded = ShardedMatcher([("a", "abc"), ("b", "xyz")], shards=2)
@@ -415,8 +285,6 @@ class ShardedMatcher(LocalMatcher):
     Args:
         rules: as for :class:`~repro.matching.RulesetMatcher`.
         shards: number of round-robin shards (>= 1).
-        processes: default worker-process count for :meth:`scan_many`
-            (0/1 = serial).
         **kwargs: forwarded to every shard's matcher.
     """
 
@@ -424,15 +292,13 @@ class ShardedMatcher(LocalMatcher):
         self,
         rules: Iterable[str] | Sequence[tuple[str, str]],
         shards: int = 2,
-        processes: int = 0,
         **kwargs,
     ):
         from ..compiler.pipeline import dedupe_rules
         from ..matching import RulesetMatcher
 
-        self.processes = processes
-        #: default execution backend, forwarded to every shard and to
-        #: worker processes (any registry name, or "auto")
+        #: default execution backend, forwarded to every shard (any
+        #: registry name, or "auto")
         self.engine: str = kwargs.get("engine", AUTO_ENGINE)
         # Deduplicate rule ids *before* sharding: round-robin would
         # otherwise scatter duplicates across shards where no single

@@ -28,8 +28,8 @@ equivalence with the reference simulator: identical distinct
 :class:`~repro.hardware.simulator.ActivityStats` (so the Table 2 energy
 accounting is unchanged).  ``tests/engine/`` asserts both.
 
-All fields are plain ints/lists/tuples, so tables pickle cheaply to
-worker processes (see :mod:`repro.engine.parallel`) -- and carry
+All fields are plain ints/lists/tuples, so tables pickle cheaply into
+the compiled-ruleset cache (:mod:`repro.compiler.cache`) -- and carry
 ``prepared``, the backends' derived scan programs, with them.
 """
 
@@ -150,7 +150,7 @@ class TransitionTables:
     #: the network these tables were lowered from, kept so executors
     #: that interpret node objects (the ``"reference"`` backend) can be
     #: resolved anywhere the tables travel -- including pickled cache
-    #: artifacts and worker processes.  ``None`` for hand-built tables.
+    #: artifacts.  ``None`` for hand-built tables.
     network: Optional[Network] = None
 
     #: backend name -> that backend's table-derived, scan-invariant

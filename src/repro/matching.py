@@ -406,7 +406,7 @@ class RulesetMatcher(LocalMatcher):
     @property
     def tables(self) -> TransitionTables:
         """Precompiled transition tables (built lazily, cached; shared
-        by every table-engine scan and picklable to worker processes)."""
+        by every table-engine scan and pickled into the cache artifact)."""
         if self._tables is None:
             self._tables = compile_tables(self.network)
         return self._tables

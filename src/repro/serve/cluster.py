@@ -1,8 +1,10 @@
 """Cluster scatter-gather: one logical matcher over N remote ruleset shards.
 
-:class:`~repro.engine.parallel.ShardedMatcher` splits a ruleset
-round-robin across matchers *in this process*; this module applies the
-identical shard policy **across servers**.  A
+This is the one place a ruleset is split for speed: the round-robin
+shard policy of :func:`~repro.engine.parallel.shard_rules` applied
+**across servers**, so each shard scans on its own core (the in-process
+:class:`~repro.engine.parallel.ShardedMatcher` applies the same policy
+under one GIL, and is kept as this module's reference).  A
 :class:`RemoteShardedMatcher` implements the ordinary
 :class:`~repro.session.Matcher` protocol, but each shard is a remote
 :class:`~repro.serve.server.MatchServer` reached through its own
@@ -575,7 +577,10 @@ class LocalShardCluster:
     multiprocessing itself is unavailable does it degrade to
     in-process serving (:attr:`mode` says which you got) -- a shard
     child that fails to start raises.  ``**compile_options`` are the
-    per-shard :class:`~repro.serve.worker.MatcherSpec` fields.
+    :class:`~repro.serve.worker.MatcherSpec` compile options
+    (``engine``, ``unfold_threshold``, ``opt_level``, ``cache_dir``),
+    applied to every shard; each shard's spec holds its own rule
+    slice, built into one :class:`~repro.matching.RulesetMatcher`.
 
     Usage::
 

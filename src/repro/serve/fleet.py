@@ -106,8 +106,10 @@ class WorkerFleet:
     ``reuse_port`` (``None`` auto-detects; ``False`` forces the
     pass-the-listener fallback).  ``**compile_options`` are the
     :class:`MatcherSpec` fields (``engine``, ``unfold_threshold``,
-    ``opt_level``, ``cache_dir``, ``shards``); ``cache_dir=None``
-    makes a private temp cache so workers still warm-start.
+    ``opt_level``, ``cache_dir``); ``cache_dir=None`` makes a private
+    temp cache so workers still warm-start.  Every worker serves the
+    whole ruleset; to split one, run a cluster
+    (:mod:`repro.serve.cluster`).
     """
 
     def __init__(

@@ -38,14 +38,17 @@ class WorkerError(RuntimeError):
 
 @dataclass(frozen=True)
 class MatcherSpec:
-    """A picklable recipe for building one worker's Matcher.
+    """A picklable recipe for building one worker's matcher.
 
     Workers cannot receive a live matcher (scanner state is not
     picklable and must not be shared across processes anyway), so the
     supervisors ship the *recipe*: the normalized rules plus the
-    compile options of ``repro scan``/``serve``.  :meth:`build` is the
-    single construction path used by the parent's validation compile,
-    every worker's startup, and every reload.
+    compile options of ``repro serve``/``cluster``.  :meth:`build` is
+    the single construction path used by the parent's validation
+    compile, every worker's startup, and every reload; it always builds
+    one :class:`~repro.matching.RulesetMatcher` -- a ruleset is split
+    only across a cluster's shard processes, each of which gets a spec
+    holding its own slice.
     """
 
     rules: tuple[tuple[str, str], ...]
@@ -53,23 +56,19 @@ class MatcherSpec:
     unfold_threshold: float = 0
     opt_level: int = 0
     cache_dir: Optional[str] = None
-    shards: int = 1
 
     def build(self):
         """Compile (or warm-start from cache) and return the matcher."""
         from ..engine.backends import AUTO_ENGINE
-        from ..engine.parallel import ShardedMatcher
         from ..matching import RulesetMatcher
 
-        options = dict(
+        return RulesetMatcher(
+            list(self.rules),
             unfold_threshold=self.unfold_threshold,
             engine=self.engine or AUTO_ENGINE,
             opt_level=self.opt_level,
             cache_dir=self.cache_dir,
         )
-        if self.shards > 1:
-            return ShardedMatcher(list(self.rules), shards=self.shards, **options)
-        return RulesetMatcher(list(self.rules), **options)
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,9 @@ The layer cake:
   (``$``-anchored rules can only be gated once the stream length is
   known), ``matches(chunks)`` iterates lazily, ``result()`` assembles
   the classic :class:`~repro.matching.ScanResult`;
-* :class:`Matcher` -- the protocol both
-  :class:`~repro.matching.RulesetMatcher` and
+* :class:`Matcher` -- the protocol
+  :class:`~repro.matching.RulesetMatcher`, the cluster's
+  :class:`~repro.serve.cluster.RemoteShardedMatcher` and the in-process
   :class:`~repro.engine.parallel.ShardedMatcher` implement, so sharded
   sessions (per-shard sub-scanners, merged incremental emission) are
   indistinguishable from single-matcher ones;
@@ -436,13 +437,14 @@ class Matcher(Protocol):
     """What every rule-set matcher front-end exposes.
 
     Implemented by :class:`~repro.matching.RulesetMatcher` (one
-    compiled network), :class:`~repro.engine.parallel.ShardedMatcher`
-    (round-robin shards in-process, merged results), and
-    :class:`~repro.serve.cluster.RemoteShardedMatcher` (the same shard
-    policy spread over M network match servers): one session/scan
+    compiled network), :class:`~repro.serve.cluster.RemoteShardedMatcher`
+    (round-robin shards spread over M network match servers -- the one
+    way to split a ruleset for speed), and
+    :class:`~repro.engine.parallel.ShardedMatcher` (the same shard
+    policy in one process, the cluster's reference): one session/scan
     surface, so serving code is written once against this protocol and
-    the sharding/backing choice -- local, multi-core, or cluster -- is
-    swappable configuration.
+    the backing -- one network or a cluster -- is swappable
+    configuration.
     """
 
     engine: str
@@ -467,10 +469,7 @@ class Matcher(Protocol):
     ) -> "ScanResult": ...
 
     def scan_many(
-        self,
-        streams: Sequence[Chunk],
-        processes: Optional[int] = None,
-        engine: Optional[str] = None,
+        self, streams: Sequence[Chunk], engine: Optional[str] = None
     ) -> list["ScanResult"]: ...
 
     def matched_rules(self, data: Chunk) -> set[str]: ...
@@ -512,15 +511,11 @@ class SessionScans:
         return session.result()
 
     def scan_many(
-        self,
-        streams: Sequence[Chunk],
-        processes: Optional[int] = None,
-        engine: Optional[str] = None,
+        self, streams: Sequence[Chunk], engine: Optional[str] = None
     ) -> list["ScanResult"]:
-        """Scan a batch of independent streams serially, one result
-        each (``processes`` is the protocol's parallelism hint; local
-        matchers override this to honour it)."""
-        del processes
+        """Scan a batch of independent streams, one session each, one
+        result each (in order).  Serial on every matcher: to scan in
+        parallel, run more processes -- a fleet or a cluster."""
         return [self.scan(stream, engine=engine) for stream in streams]
 
     def matched_rules(self, data: Chunk) -> set[str]:

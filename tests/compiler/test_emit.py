@@ -42,6 +42,13 @@ class TestPolicy:
         _, d = decisions_for("(a?b?){2,9}", {0: False})
         assert d[0] is Decision.UNFOLD
 
+    def test_bitvector_wider_than_one_pe_unfolds(self):
+        # a bit vector is one segment of a PE's 2000-bit module
+        _, d = decisions_for("a[bc]{2,2000}d", {0: True})
+        assert d[0] is Decision.BITVECTOR
+        _, d = decisions_for("a[bc]{2,2001}d", {0: True})
+        assert d[0] is Decision.UNFOLD
+
     def test_missing_verdict_treated_ambiguous(self):
         _, d = decisions_for("a(bc){2,9}d", {})
         assert d[0] is Decision.UNFOLD  # general ambiguous body

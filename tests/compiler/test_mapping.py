@@ -1,10 +1,18 @@
 """Tests for CAMA placement (PE packing, co-location, port groups)."""
 
+import re
+
+import pytest
+
+from repro.compiler.emit import Decision
 from repro.compiler.mapping import map_network
 from repro.compiler.pipeline import compile_pattern, compile_ruleset
+from repro.engine.backends import available_backends
+from repro.hardware.cama import BankAllocationError
 from repro.hardware.params import CamaGeometry
+from repro.matching import RulesetMatcher
 from repro.mnrl.network import Network
-from repro.mnrl.nodes import CounterNode, STE, StartType
+from repro.mnrl.nodes import BitVectorNode, CounterNode, STE, StartType
 from repro.regex.charclass import CharClass
 
 
@@ -98,3 +106,48 @@ class TestOversizedAtoms:
         assert not mapping.ok
         assert any("split" in v.detail for v in mapping.violations)
         assert set(mapping.placement) == set(net.nodes)
+
+
+@pytest.fixture(scope="module")
+def wide_gap():
+    """A gap wider than one PE's 2000-bit bit-vector module."""
+    return RulesetMatcher([("r", "a.{2,2500}b")])
+
+
+class TestWiderThanOnePE:
+    def test_compiler_unfolds_the_gap(self, wide_gap):
+        # generous bound: a regression here never returns at all
+        assert wide_gap.compile_info.seconds < 60
+        (compiled,) = wide_gap.ruleset.patterns
+        assert list(compiled.decisions.values()) == [Decision.UNFOLD]
+        assert wide_gap.resources().bit_vectors == 0
+        assert wide_gap.mapping.ok
+
+    @pytest.mark.parametrize("engine", ["stream", "block"])
+    def test_reports_equal_python_re(self, wide_gap, engine):
+        if not any(i.name == engine and i.available for i in available_backends()):
+            pytest.skip(f"{engine} backend unavailable")
+        # gaps of 1, 4 and 2 bytes, then exactly 2500 and 2501
+        data = b"ab axb axxb a" + b"y" * 2500 + b"bb"
+        oracle = re.compile(rb"(?s:a.{2,2500}b)")
+        starts = [i for i, byte in enumerate(data) if byte == ord("a")]
+        ends = sorted(
+            {
+                end
+                for end in range(1, len(data) + 1)
+                if data[end - 1] == ord("b")
+                and any(oracle.fullmatch(data, s, end) for s in starts if s < end)
+            }
+        )
+        assert ends == [6, 11, len(data) - 1]
+        assert wide_gap.scan(data, engine=engine).matches == {"r": ends}
+
+    def test_mapper_refuses_a_wider_segment(self):
+        # imported MNRL can hold what the compiler never emits
+        net = Network("wide")
+        net.add(STE("s", CharClass.of_char("a"), start=StartType.ALL_INPUT))
+        net.add(BitVectorNode("v", 2, 2500))
+        net.connect("s", "o", "v", "body")
+        net.connect("v", "en_body", "s", "i")
+        with pytest.raises(BankAllocationError, match="bit vector 'v' needs 2500 bits"):
+            map_network(net)

@@ -1,4 +1,4 @@
-"""Sharded and batch scanning front-ends."""
+"""The shard policy, the per-shard merge, and the in-process sharded matcher."""
 
 import pytest
 
@@ -160,23 +160,9 @@ class TestScanMany:
         batch = matcher.scan_many(self.STREAMS)
         assert batch == [matcher.scan(s) for s in self.STREAMS]
 
-    def test_processes_equal_serial(self):
-        # falls back to serial automatically where pools cannot start,
-        # so this asserts result equality either way
-        matcher = RulesetMatcher(RULES)
-        assert matcher.scan_many(self.STREAMS, processes=2) == matcher.scan_many(
-            self.STREAMS
-        )
-
     def test_sharded_scan_many(self):
         matcher = ShardedMatcher(RULES, shards=2)
         batch = matcher.scan_many(self.STREAMS)
         assert [r.matches for r in batch] == [
             matcher.scan(s).matches for s in self.STREAMS
         ]
-
-    def test_sharded_scan_many_processes(self):
-        matcher = ShardedMatcher(RULES, shards=2)
-        assert matcher.scan_many(self.STREAMS, processes=2) == matcher.scan_many(
-            self.STREAMS
-        )

@@ -162,31 +162,24 @@ class TestScan:
         assert "backend stream: available" in err
         assert "backend block:" in err
 
-    def test_scan_sharded(self, tmp_path, capsys):
-        rules = tmp_path / "rules.txt"
-        rules.write_text("a\tabc\nb\t[0-9]{3,5}\nc\tzz\n")
-        data = tmp_path / "data.bin"
-        data.write_bytes(b"abc 123 zz")
-        assert (
-            main(
-                ["scan", "--rules", str(rules), "--input", str(data), "--shards", "2"]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "a: 1 match(es)" in out
-        assert "b: 1 match(es)" in out
-        assert "c: 1 match(es)" in out
-
     @pytest.mark.parametrize("count", ["0", "-2"])
     def test_shards_below_one_is_a_usage_error(self, tmp_path, capsys, count):
         rules = tmp_path / "rules.txt"
         rules.write_text("a\tabc\n")
-        for command in (["scan", "--input", str(rules)], ["cluster"]):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["cluster", "--rules", str(rules), "--shards", count])
+        assert exit_info.value.code == 2
+        assert "--shards: must be >= 1" in capsys.readouterr().err
+
+    def test_only_cluster_splits_a_ruleset(self, tmp_path, capsys):
+        # scan and serve hold one compiled ruleset; --shards is cluster's
+        rules = tmp_path / "rules.txt"
+        rules.write_text("a\tabc\n")
+        for command in (["scan", "--input", str(rules)], ["serve"]):
             with pytest.raises(SystemExit) as exit_info:
-                main([*command, "--rules", str(rules), "--shards", count])
+                main([*command, "--rules", str(rules), "--shards", "2"])
             assert exit_info.value.code == 2
-            assert "--shards: must be >= 1" in capsys.readouterr().err
+            assert "unrecognized arguments: --shards 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("count", ["0", "-1"])
     def test_workers_below_one_is_a_usage_error(self, tmp_path, capsys, count):
@@ -242,24 +235,6 @@ class TestScanStreams:
         out = capsys.readouterr().out
         assert "served 64 stream(s)" in out
         assert out.count("hit: 1 match(es)") == 64
-
-    def test_streams_with_shards(self, tmp_path, capsys):
-        rules = tmp_path / "rules.txt"
-        rules.write_text("a\tabc\nb\t[0-9]{3,5}\nc\tzz\n")
-        data = tmp_path / "streams.txt"
-        data.write_text("x\tabc 123\ny\tzz\n")
-        assert (
-            main(
-                [
-                    "scan", "--rules", str(rules), "--input", str(data),
-                    "--streams", "--shards", "2",
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "stream x: 7 bytes, 2 match(es)" in out
-        assert "stream y: 2 bytes, 1 match(es)" in out
 
     def test_payload_carriage_returns_are_data(self, tmp_path, capsys):
         """Only the line framing (one \\n, at most one preceding \\r)
@@ -615,12 +590,12 @@ class TestServeConnect:
 
         args = build_parser().parse_args([
             "serve", "--rules", "r.txt", "--port", "7341",
-            "--engine", "stream", "--queue-depth", "4", "--shards", "2",
+            "--engine", "stream", "--queue-depth", "4",
             "-O", "1", "--threads", "2", "--workers", "4", "--reload",
             "--control", "/tmp/repro.sock",
         ])
         assert args.command == "serve"
-        assert (args.port, args.queue_depth, args.shards) == (7341, 4, 2)
+        assert (args.port, args.queue_depth) == (7341, 4)
         assert (args.threads, args.workers) == (2, 4)
         assert args.reload is True
         assert args.control == "/tmp/repro.sock"

@@ -116,7 +116,11 @@ class TestDocsQuoteTheHarness:
     def test_nothing_mentions_the_deleted_benchmark(self):
         # history may name it: the change log, the issue, the roadmap
         history = {"CHANGES.md", "ISSUE.md", "ROADMAP.md"}
-        gone = ("bench_" + "engine", "BENCH_" + "engine", "benchmarks/" + "results")
+        gone = (
+            "bench_" + "engine", "BENCH_" + "engine", "benchmarks/" + "results",
+            # the scan_many process pool
+            "scan_" + "streams", "_run_" + "pool",
+        )
         stale = []
         for folder, subfolders, files in os.walk(ROOT):
             subfolders[:] = [
