@@ -77,7 +77,11 @@ __all__ = [
 #: also versions the stored layouts of ``engine.block._BlockProgram`` /
 #: ``block_modules.ModulePlan`` and of the mapping dataclasses -- and
 #: triage entries share the directory.
-CACHE_VERSION = 4
+#: v5: ``TransitionTables`` carries the report-index table
+#: (``report_ids``, ``ste_report_index``, ``module_report_index``) that
+#: scanners report against, and ``ModulePlan`` a ``report_index`` in
+#: place of its ``report_id`` -- a warm start loads the table.
+CACHE_VERSION = 5
 
 #: Every global an entry's pickle may name, as ``(module, qualname)``:
 #: the ``repro`` dataclasses / enums / slot classes entries are made of

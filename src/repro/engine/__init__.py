@@ -8,7 +8,9 @@ package is the software analogue of that split:
 * :mod:`repro.engine.tables` -- lower a compiled network into dense
   integer transition tables (:func:`compile_tables`);
 * :mod:`repro.engine.scanner` -- :class:`StreamScanner`, the scalar
-  chunked streaming interpreter over those tables (``feed``/``finish``);
+  chunked streaming interpreter over those tables (``feed``/``finish``),
+  and :class:`ReportColumns`, the ``(end, report index)`` columns every
+  backend's ``feed`` returns;
 * :mod:`repro.engine.block` -- :class:`BlockScanner`, the NumPy
   bit-parallel block scanner (optional dependency);
 * :mod:`repro.engine.backends` -- the pluggable execution-backend
@@ -38,13 +40,14 @@ from .backends import (
 )
 from .block import BlockScanner
 from .parallel import ShardedMatcher, merge_scan_results, shard_rules
-from .scanner import StreamScanner, scan_bytes
+from .scanner import ReportColumns, StreamScanner, scan_bytes
 from .tables import TransitionTables, compile_tables
 
 __all__ = [
     "TransitionTables",
     "compile_tables",
     "StreamScanner",
+    "ReportColumns",
     "BlockScanner",
     "scan_bytes",
     "ShardedMatcher",

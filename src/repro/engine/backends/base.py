@@ -6,12 +6,21 @@ capabilities (availability, stats guarantees, streaming support) and
 manufactures *scanners*.  A scanner is anything with the
 :class:`~repro.engine.scanner.StreamScanner` streaming surface::
 
-    scanner.feed(chunk) -> list[(position, report_id)]   # new reports
-    scanner.finish()    -> set[(position, report_id)]    # distinct set
+    scanner.feed(chunk) -> ReportColumns   # the chunk's reports
+    scanner.finish()    -> None            # end of stream
     scanner.reset()
-    scanner.reports     # distinct (position, report_id) pairs so far
+    scanner.reports     # every report so far (a ReportColumns view)
     scanner.stats       # hardware ActivityStats
     scanner.bytes_fed   # stream offset
+    scanner.tables      # the TransitionTables it runs
+
+Reports travel as columns, never as one Python object per report:
+:class:`~repro.engine.scanner.ReportColumns` holds an ``ends`` column
+(1-based stream positions) and an ``index`` column into the tables'
+report-id table (``tables.report_ids``), distinct and ordered by
+``(end, index)``.  A scanner keeps its history as appended columns
+(:class:`~repro.engine.scanner.ReportLog`); ``reports`` decodes them to
+``(position, report_id)`` pairs only when iterated or compared.
 
 All backends share one semantics contract: identical distinct report
 sets to the reference :class:`~repro.hardware.simulator.NetworkSimulator`
@@ -20,13 +29,14 @@ additionally guarantee :class:`~repro.hardware.simulator.ActivityStats`
 equivalence (``ActivityStats.equivalent``), so energy pricing is
 backend-independent.
 
-Because every backend's ``feed`` reports *incrementally* (the newly
-observed pairs of the chunk, in position order), the session layer
-(:mod:`repro.session`) works over any registered backend unchanged:
-a :class:`~repro.session.MatchSession` wraps one scanner per ruleset
-shard and re-dresses these raw pairs as offset-sorted
-:class:`~repro.session.Match` events -- new backends get incremental
-emission for free by meeting this contract.
+Because every backend's ``feed`` reports *incrementally* (the reports
+ending inside the chunk), the session layer (:mod:`repro.session`)
+works over any registered backend unchanged: a
+:class:`~repro.session.MatchSession` wraps one scanner per ruleset
+shard, gates and orders the columns of all of them by a per-index rule
+rank (:class:`~repro.session.ReportLayout`) and builds each
+offset-sorted :class:`~repro.session.Match` once -- new backends get
+incremental emission for free by meeting this contract.
 
 Concrete backends register with
 :func:`~repro.engine.backends.registry.register_backend`; consumers

@@ -3,8 +3,8 @@
 Wraps :class:`~repro.hardware.simulator.NetworkSimulator` behind the
 scanner surface.  The simulator steps one byte at a time over Python
 node objects and carries all state on itself, so the adapter streams
-chunk by chunk without buffering -- ``feed`` simply extends the run
-and diffs the distinct-report set.
+chunk by chunk without buffering -- ``feed`` extends the run and turns
+the run's new report events into the shared report columns.
 
 This backend interprets the *network*, not the lowered tables, so it
 is only applicable when the tables still carry their source network
@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ...hardware.simulator import NetworkSimulator
-from ..scanner import Chunk, coerce_chunk
+from ..scanner import Chunk, ReportColumns, ReportLog, coerce_chunk, columns_of_keys
 from ..tables import TransitionTables
 from .base import Backend
 
@@ -38,13 +38,13 @@ class ReferenceScanner:
             )
         self.tables = tables
         self._sim = NetworkSimulator(tables.network)
+        self._index_of = {rid: i for i, rid in enumerate(tables.report_ids)}
         self.reset()
 
     def reset(self) -> None:
         self._sim.reset()
         self._finished = False
-        #: distinct (position, report_id) pairs seen so far
-        self.reports: set[tuple[int, Optional[str]]] = set()
+        self._log = ReportLog()
 
     @property
     def stats(self):
@@ -54,36 +54,43 @@ class ReferenceScanner:
     def bytes_fed(self) -> int:
         return self._sim.cycle
 
-    def feed(self, chunk: Chunk) -> list[tuple[int, Optional[str]]]:
-        """Consume one chunk; return reports newly added by it."""
+    @property
+    def reports(self) -> ReportColumns:
+        """Every distinct report so far, decoded only when iterated."""
+        return self._log.view(self.tables.report_ids)
+
+    def feed(self, chunk: Chunk) -> ReportColumns:
+        """Consume one chunk; return the reports it raised."""
         if self._finished:
             raise RuntimeError("feed() after finish(); call reset() to rescan")
         chunk = coerce_chunk(chunk)
-        seen_events = len(self._sim.reports)
-        self._sim.run(chunk)
-        new: list[tuple[int, Optional[str]]] = []
-        for event in self._sim.reports[seen_events:]:
-            pair = (event.position, event.report_id)
-            if pair not in self.reports:
-                self.reports.add(pair)
-                new.append(pair)
+        sim = self._sim
+        sim.run(chunk)
+        width = len(self.tables.report_ids) or 1
+        index_of = self._index_of
+        new = columns_of_keys(
+            [event.position * width + index_of[event.report_id] for event in sim.reports],
+            self.tables.report_ids,
+        )
+        sim.reports.clear()  # consumed: the log holds them as columns
+        self._log.append(new)
         return new
 
-    def finish(self) -> set[tuple[int, Optional[str]]]:
-        """Mark end-of-stream; returns the distinct report set."""
+    def finish(self) -> None:
+        """Mark end-of-stream."""
         self._finished = True
-        return self.reports
 
-    def scan(self, data: Chunk) -> set[tuple[int, Optional[str]]]:
-        """Reset, consume ``data`` as one chunk, finish."""
+    def scan(self, data: Chunk) -> ReportColumns:
+        """Reset, consume ``data`` as one chunk, finish; the reports."""
         self.reset()
         self.feed(data)
-        return self.finish()
+        self.finish()
+        return self.reports
 
     def match_ends(self, data: Chunk) -> list[int]:
         """Distinct report positions, for differential testing."""
         self.scan(data)
-        return sorted({position for position, _ in self.reports})
+        return sorted(set(self._log.ends))
 
 
 class ReferenceBackend(Backend):

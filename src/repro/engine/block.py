@@ -38,7 +38,13 @@ run, i.e. ``last_enable_index >= run_start_index``, both one
 Stats and reports are exact, not approximate: activations are
 ``count_nonzero`` per occupancy lane, report events are the nonzero
 positions of reporting STEs' lanes, so the backend meets the same
-``ActivityStats``-exact contract as the scalar engine.
+``ActivityStats``-exact contract as the scalar engine.  A reporting
+lane's positions become ``position * R + report index`` keys in one
+array op (``R`` entries in the tables' report-id table); a feed sorts
+and deduplicates its keys once and splits them into the
+``(end, index)`` :class:`~repro.engine.scanner.ReportColumns` it
+returns -- no Python object per report.  Deduplicating within a feed is
+exact: a position is reported only while its byte is consumed.
 
 Counter / bit-vector modules
 ----------------------------
@@ -82,7 +88,7 @@ from typing import Optional
 
 from ..mnrl.network import Network
 from . import block_modules
-from .scanner import Chunk, StreamScanner, coerce_chunk
+from .scanner import Chunk, ReportColumns, StreamScanner, coerce_chunk
 from .tables import KIND_BIT_VECTOR, SRC_OUT, TransitionTables, compile_tables
 
 try:  # NumPy is optional: the registry degrades gracefully without it
@@ -105,6 +111,44 @@ __all__ = [
 #: Snort-scale STE-only tables: large enough to amortize per-STE NumPy
 #: call overhead, small enough that occupancy lanes stay cache-resident.
 DEFAULT_BLOCK_SIZE = 16384
+
+
+#: glibc ``mallopt`` parameter numbers (``malloc.h``)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+#: the ceilings of glibc's own dynamic thresholds on 64-bit hosts: where
+#: it puts them once the process has freed a 32 MiB mapping
+_MMAP_THRESHOLD = 32 * 1024 * 1024
+_TRIM_THRESHOLD = 2 * _MMAP_THRESHOLD
+_heap_kept = False
+
+
+def _keep_freed_heap() -> None:
+    """Keep the heap a sweep frees at each block boundary for the next block.
+
+    A sweep allocates its lanes (``block_size`` bytes each, hundreds of
+    them per block on a large ruleset) and frees them all when the block
+    ends.  Until the process happens to free a large mapping, glibc
+    returns any freed heap top over 128 KiB to the OS, and every block
+    faults the same megabytes back in: ~130 000 minor page faults per
+    768 KiB pass of the 2 000-rule corpus, against ~0 with the thresholds
+    at glibc's own dynamic ceilings, which is what this sets.  Once per
+    process; a no-op where the C library has no ``mallopt``.
+    """
+    global _heap_kept
+    if _heap_kept:
+        return
+    _heap_kept = True
+    try:
+        import ctypes
+
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
 
 
 def numpy_or_none():
@@ -239,6 +283,17 @@ class _BlockProgram:
         return None, state
 
 
+def _sorted_distinct(keys):
+    """``keys`` sorted, repeats dropped (two STEs may raise one report id
+    on the same byte).  What ``np.unique`` returns, without the
+    ``numpy.ma`` import its first call pays (~35 ms, in a fresh worker's
+    first feed)."""
+    keys = _np.sort(keys)
+    fresh = _np.ones(len(keys), dtype=bool)
+    _np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+    return keys[fresh]
+
+
 def _mask_flags(mask: int, n: int) -> list[bool]:
     return [bool((mask >> i) & 1) for i in range(n)]
 
@@ -322,11 +377,8 @@ class BlockScanner:
     """Drop-in :class:`StreamScanner` replacement with block sweeps.
 
     Same construction, streaming surface (``feed``/``finish``/
-    ``reset``), report set, and ``ActivityStats`` as the scalar
-    scanner; only the execution strategy differs.  ``feed`` returns the
-    chunk's newly observed reports ordered by position (the scalar
-    scanner's observation order is also position-ordered; ties between
-    simultaneous reports may interleave differently).
+    ``reset``), report columns, and ``ActivityStats`` as the scalar
+    scanner; only the execution strategy differs.
 
     Raises :class:`RuntimeError` when NumPy is unavailable -- resolve
     through :mod:`repro.engine.backends` to degrade gracefully instead.
@@ -349,6 +401,7 @@ class BlockScanner:
         self.block_size = block_size
         self._scalar = StreamScanner(source)
         self._program = _program_for(source)
+        _keep_freed_heap()
         #: blocks swept so far (monotonic until reset)
         self._committed = 0
 
@@ -363,8 +416,8 @@ class BlockScanner:
     # the embedded scalar scanner owns all mutable state: the sweep
     # writes its carried state there at every block boundary
     @property
-    def reports(self):
-        """Distinct ``(position, report_id)`` pairs seen so far."""
+    def reports(self) -> ReportColumns:
+        """Every distinct report so far, decoded only when iterated."""
         return self._scalar.reports
 
     @property
@@ -387,45 +440,57 @@ class BlockScanner:
         self._scalar.reset()
         self._committed = 0
 
-    def finish(self):
-        """Mark end-of-stream; returns the distinct report set."""
-        return self._scalar.finish()
+    def finish(self) -> None:
+        """Mark end-of-stream."""
+        self._scalar.finish()
 
-    def feed(self, chunk: Chunk):
-        """Consume one chunk; return reports newly added by it."""
+    def feed(self, chunk: Chunk) -> ReportColumns:
+        """Consume one chunk; return the reports it raised."""
         if not self._program.sweep_ok:
             # tables the analysis rejected run whole on the interpreter
             return self._scalar.feed(chunk)
         if self._scalar._finished:
             raise RuntimeError("feed() after finish(); call reset() to rescan")
+        np = _np
         # bytes -> alphabet classes, once per feed
         classes = bytes(coerce_chunk(chunk)).translate(self.tables.byte_class)
-        cls = _np.frombuffer(classes, dtype=_np.uint8)
-        new: list[tuple[int, Optional[str]]] = []
+        cls = np.frombuffer(classes, dtype=np.uint8)
+        keys: list = []
         block = self.block_size
         for offset in range(0, len(cls), block):
-            self._sweep(cls[offset : offset + block], new)
+            self._sweep(cls[offset : offset + block], keys)
             self._committed += 1
+        ids = self.tables.report_ids
+        if not keys:
+            ends = index = np.empty(0, dtype=np.int64)
+        else:
+            # one lane's keys are already ascending and distinct
+            merged = keys[0] if len(keys) == 1 else _sorted_distinct(np.concatenate(keys))
+            ends, index = np.divmod(merged, len(ids))
+        new = ReportColumns(ends, index, ids)
+        self._scalar._log.append(new)
         return new
 
     # -- one-shot conveniences (mirror StreamScanner) ----------------------
-    def scan(self, data: Chunk):
-        """Reset, consume ``data`` as one chunk, finish."""
+    def scan(self, data: Chunk) -> ReportColumns:
+        """Reset, consume ``data`` as one chunk, finish; the reports."""
         self.reset()
         self.feed(data)
-        return self.finish()
+        self.finish()
+        return self.reports
 
     def match_ends(self, data: Chunk) -> list[int]:
         """Distinct report positions, for differential testing."""
         self.scan(data)
-        return sorted({position for position, _ in self.reports})
+        return sorted(set(self._scalar._log.ends))
 
     # -- the vector sweep --------------------------------------------------
-    def _sweep(self, cls, new: list) -> None:
+    def _sweep(self, cls, keys: list) -> None:
         """Sweep one block (as alphabet classes), STE and counter/bit-vector
-        activity alike evaluated in-lane.  Always commits: reports,
-        stats, and module registers land exactly where the interpreter
-        would have put them."""
+        activity alike evaluated in-lane.  Always commits: stats and
+        module registers land exactly where the interpreter would have
+        put them, and each reporting lane appends its ``position * R +
+        report index`` keys to ``keys``."""
         np = _np
         program = self._program
         tables = self.tables
@@ -442,13 +507,15 @@ class BlockScanner:
         always_eff = program.always_eff_flag
         start_flag = program.start_flag
         report_flag = program.report_flag
-        rids = tables.ste_report_ids
+        ste_rindex = tables.ste_report_index
+        width = len(tables.report_ids)
         plans = program.mod_plans
         mod_preds = program.mod_preds
         out_ste_masks = tables.out_ste_masks
         aux_ste_masks = tables.aux_ste_masks
         at_start = cycle == 0
-        base = cycle + 1
+        # key of a lane's position p: (cycle + 1 + p) * width + index
+        row = (cycle + 1) * width
 
         n = tables.n_stes
         lanes = _BlockLanes(program, cls)
@@ -469,7 +536,6 @@ class BlockScanner:
         idx = None
         activations = 0
         events = 0
-        found: list[tuple[int, Optional[str]]] = []
         # the interpreter seeds every cycle's next_enabled with the
         # const mask (ALL_INPUT bit vectors re-arming their body STE)
         last_mask = tables.const_enable_mask
@@ -522,11 +588,10 @@ class BlockScanner:
                 if out_lane is not None:
                     mod_out[index] = out_lane
                     if plan.reports:
-                        count = int(np.count_nonzero(out_lane))
-                        events += count
-                        rid = plan.report_id
-                        for position in np.flatnonzero(out_lane).tolist():
-                            found.append((base + position, rid))
+                        hits = np.flatnonzero(out_lane)
+                        events += len(hits)
+                        if len(hits):
+                            keys.append(hits * width + (row + plan.report_index))
                     if out_lane[-1]:
                         last_mask |= out_ste_masks[index]
                     for w in plan.out_targets:
@@ -552,9 +617,7 @@ class BlockScanner:
             activations += count
             if report_flag[v]:
                 events += count
-                rid = rids[v]
-                for position in np.flatnonzero(lane).tolist():
-                    found.append((base + position, rid))
+                keys.append(np.flatnonzero(lane) * width + (row + ste_rindex[v]))
             if lane[-1]:
                 last_mask |= succ_masks[v]
             for w in succ_lists[v]:
@@ -569,10 +632,3 @@ class BlockScanner:
         stats.bit_vector_ops += lanes.acc[1]
         stats.bit_vector_weighted_ops += lanes.acc[2]
         stats.reports += events
-        if found:
-            reports = scalar.reports
-            found.sort(key=lambda pair: pair[0])
-            for pair in found:
-                if pair not in reports:
-                    reports.add(pair)
-                    new.append(pair)

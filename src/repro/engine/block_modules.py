@@ -85,7 +85,7 @@ class ModulePlan:
         "all_input",
         "weight",
         "reports",
-        "report_id",
+        "report_index",
         "absorbed",
         "fst_stes",
         "fst_mods",
@@ -205,7 +205,7 @@ def analyze(
         plan.all_input = tables.module_all_input[m]
         plan.weight = tables.bv_weights[m]
         plan.reports = tables.module_reports[m]
-        plan.report_id = tables.module_report_ids[m]
+        plan.report_index = tables.module_report_index[m]
         sd = wiring.ste_drivers[m]
         md = wiring.module_drivers[m]
         plan.fst_stes = sd.get(PORT_FST, ())

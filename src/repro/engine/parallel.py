@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence, TYPE_CHECKING
 
-from ..session import MatchSession, MatchSink, SessionPart, SessionScans
+from ..session import MatchSession, MatchSink, ReportLayout, SessionPart, SessionScans
 from .backends import AUTO_ENGINE
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -233,6 +233,9 @@ class LocalMatcher(SessionScans):
     engine: str
     #: the compiled matchers a session spans, in shard order
     _shard_matchers: "Sequence[RulesetMatcher]"
+    #: the sessions' shared :class:`~repro.session.ReportLayout` (a
+    #: function of the shards' tables and gates), built by the first one
+    _session_layout: Optional[ReportLayout] = None
 
     def session(
         self,
@@ -261,7 +264,11 @@ class LocalMatcher(SessionScans):
             )
             for shard in self._shard_matchers
         ]
-        return MatchSession(parts, stream=stream, on_match=on_match)
+        if self._session_layout is None:
+            self._session_layout = ReportLayout(parts)
+        return MatchSession(
+            parts, stream=stream, on_match=on_match, layout=self._session_layout
+        )
 
 
 class ShardedMatcher(LocalMatcher):

@@ -19,26 +19,38 @@ Semantics contract (asserted by ``tests/engine/``):
 
 Like the hardware (and the reference simulator), the scanner reports
 *every* prefix end; ``$``-anchor gating against end-of-data is the
-facade's job (:meth:`repro.matching.RulesetMatcher.scan_stream` applies
-it at :meth:`finish` time, when the stream length is known).
+facade's job (:class:`repro.session.MatchSession` applies it, since only
+the session knows when the stream has ended).
 
-This is the *raw* scanner layer: ``feed`` returns newly observed
-``(position, report_id)`` tuples in position order and ``finish``
-returns the distinct-report ``set``.  User-facing code should scan
-through :class:`repro.session.MatchSession` (via
-``RulesetMatcher.session()``), which unifies both into offset-sorted
-:class:`repro.session.Match` lists and applies the facade semantics.
+This is the *raw* scanner layer: ``feed`` returns the chunk's new
+reports as :class:`ReportColumns` -- an ``ends`` column and a column of
+indices into the tables' report-id table -- and the scanner keeps its
+history as two appended integer columns, decoded to ``(position,
+report_id)`` pairs only when :attr:`StreamScanner.reports` is read.
+User-facing code should scan through :class:`repro.session.MatchSession`
+(via ``RulesetMatcher.session()``), which turns the columns into
+offset-sorted :class:`repro.session.Match` lists and applies the facade
+semantics.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Union
+from array import array
+from collections.abc import Set
+from typing import Iterable, Optional, Sequence, Union
 
 from ..hardware.simulator import ActivityStats
 from ..mnrl.network import Network
 from .tables import KIND_COUNTER, PORT_BODY, PORT_FST, PORT_LST, PORT_PRE, TransitionTables, compile_tables
 
-__all__ = ["StreamScanner", "scan_bytes", "Chunk", "coerce_chunk"]
+__all__ = [
+    "StreamScanner",
+    "ReportColumns",
+    "ReportLog",
+    "scan_bytes",
+    "Chunk",
+    "coerce_chunk",
+]
 
 #: Anything a scan entry point accepts as one chunk of input.  ``str``
 #: is a convenience for latin-1 text; binary-safe callers should pass a
@@ -79,6 +91,78 @@ def coerce_chunk(chunk: Chunk) -> "bytes | bytearray | memoryview":
     )
 
 
+class ReportColumns(Set):
+    """Reports as two parallel integer columns.
+
+    ``ends`` holds 1-based stream positions and ``index`` positions in
+    ``ids``, the tables' report-id table
+    (:attr:`~repro.engine.tables.TransitionTables.report_ids`).  Rows are
+    distinct and ordered by ``(end, index)``.  Every scanner's ``feed``
+    returns one (the chunk's new reports) and ``scanner.reports`` views
+    one (every report so far).  The columns are ``int64`` NumPy arrays
+    from the ``block`` backend and ``array('q')`` from the stdlib ones;
+    both expose the buffer protocol and ``tolist()``.
+
+    Hot paths read the columns.  As a :class:`collections.abc.Set` the
+    value also iterates, compares and tests membership as decoded
+    ``(position, report_id)`` pairs, which is what tests and debugging
+    want; nothing is decoded until asked.
+
+    >>> from array import array
+    >>> columns = ReportColumns(array("q", [3, 5]), array("q", [1, 0]), ["a", "b"])
+    >>> len(columns), list(columns), columns == {(5, "a"), (3, "b")}
+    (2, [(3, 'b'), (5, 'a')], True)
+    """
+
+    __slots__ = ("ends", "index", "ids", "_decoded")
+
+    def __init__(self, ends, index, ids: Sequence[Optional[str]]):
+        self.ends = ends
+        self.index = index
+        self.ids = ids
+        self._decoded: Optional[frozenset] = None
+
+    @classmethod
+    def _from_iterable(cls, iterable):
+        # set operators (``&``, ``|``, ``-``) build plain frozensets
+        return frozenset(iterable)
+
+    def __len__(self) -> int:
+        return len(self.ends)
+
+    def __iter__(self):
+        return zip(self.ends.tolist(), map(self.ids.__getitem__, self.index.tolist()))
+
+    def __contains__(self, pair) -> bool:
+        if self._decoded is None:
+            self._decoded = frozenset(self)
+        return pair in self._decoded
+
+    def __repr__(self) -> str:
+        return f"ReportColumns({list(self)!r})"
+
+
+class ReportLog:
+    """A stream's reports so far, kept as two appended ``int64`` columns
+    (16 bytes a report, no Python object per report)."""
+
+    __slots__ = ("ends", "index")
+
+    def __init__(self) -> None:
+        self.ends = array("q")
+        self.index = array("q")
+
+    def append(self, columns: ReportColumns) -> None:
+        """Append one feed's columns (any contiguous int64 buffers)."""
+        if len(columns):
+            self.ends.frombytes(memoryview(columns.ends).cast("B"))
+            self.index.frombytes(memoryview(columns.index).cast("B"))
+
+    def view(self, ids: Sequence[Optional[str]]) -> ReportColumns:
+        """A snapshot of the log: later feeds do not change it."""
+        return ReportColumns(self.ends[:], self.index[:], ids)
+
+
 class StreamScanner:
     """Incremental scanner over precompiled transition tables.
 
@@ -88,16 +172,19 @@ class StreamScanner:
             :class:`~repro.mnrl.network.Network` to compile on the fly.
 
     Use :meth:`feed` for each chunk and :meth:`finish` when the stream
-    ends; :attr:`reports` then holds the distinct
+    ends; :attr:`reports` then views the distinct
     ``(position, report_id)`` pairs (positions are 1-based byte counts
     from the start of the *stream*, not the chunk).
 
     >>> from repro import StreamScanner, compile_pattern
     >>> scanner = StreamScanner(compile_pattern("abc").network)
-    >>> scanner.feed(b"xxab")       # match incomplete across the boundary
-    []
-    >>> scanner.feed(b"c")
-    [(5, 'abc')]
+    >>> len(scanner.feed(b"xxab"))  # match incomplete across the boundary
+    0
+    >>> new = scanner.feed(b"c")
+    >>> new.ends.tolist(), new.index.tolist(), scanner.tables.report_ids
+    ([5], [0], ['abc'])
+    >>> new == {(5, "abc")} == scanner.reports
+    True
     """
 
     def __init__(self, source: TransitionTables | Network):
@@ -116,23 +203,27 @@ class StreamScanner:
         self._dirty = tables.initial_dirty()
         self._finished = False
         self.stats = ActivityStats()
-        #: distinct (position, report_id) pairs seen so far
-        self.reports: set[tuple[int, Optional[str]]] = set()
+        self._log = ReportLog()
 
     @property
     def bytes_fed(self) -> int:
         return self._cycle
 
+    @property
+    def reports(self) -> ReportColumns:
+        """Every distinct report so far, decoded only when iterated."""
+        return self._log.view(self.tables.report_ids)
+
     # -- streaming ---------------------------------------------------------
-    def feed(self, chunk: Chunk) -> list[tuple[int, Optional[str]]]:
-        """Consume one chunk; return reports newly added by it.
+    def feed(self, chunk: Chunk) -> ReportColumns:
+        """Consume one chunk; return the reports it raised.
 
         ``chunk`` may be any bytes-like object (``bytes``,
         ``bytearray``, ``memoryview``) or latin-1-encodable ``str``;
-        see :func:`coerce_chunk`.  The return value lists the
-        ``(position, report_id)`` pairs first observed during this
-        chunk, in observation order (pairs already reported by earlier
-        chunks are not repeated).
+        see :func:`coerce_chunk`.  The return value holds the distinct
+        reports ending inside this chunk, ordered by ``(end, index)``
+        (a position belongs to exactly one chunk, so no report repeats
+        across feeds).
         """
         if self._finished:
             raise RuntimeError("feed() after finish(); call reset() to rescan")
@@ -143,7 +234,7 @@ class StreamScanner:
         match_masks = tables.match_masks
         succ_masks = tables.succ_masks
         ste_hooks = tables.ste_module_hooks
-        ste_rids = tables.ste_report_ids
+        ste_rindex = tables.ste_report_index
         report_mask = tables.report_ste_mask
         always = tables.always_mask
         start = tables.start_mask
@@ -157,7 +248,8 @@ class StreamScanner:
         body_ranges = tables.bv_body_masks
         weights = tables.bv_weights
         mod_reports = tables.module_reports
-        mod_rids = tables.module_report_ids
+        mod_rindex = tables.module_report_index
+        n_ids = len(tables.report_ids) or 1
         all_input = tables.module_all_input
         out_ste = tables.out_ste_masks
         aux_ste = tables.aux_ste_masks
@@ -170,8 +262,9 @@ class StreamScanner:
         bv = self._bv
         pre = self._pre
         dirty = self._dirty
-        reports = self.reports
-        new: list[tuple[int, Optional[str]]] = []
+        # one int per report, position * n_ids + report index: sorting
+        # them orders the chunk's reports by (end, index)
+        keys: list[int] = []
 
         ste_activations = 0
         counter_ops = 0
@@ -193,13 +286,11 @@ class StreamScanner:
                 rep = active & report_mask
                 if rep:
                     n_events += rep.bit_count()
+                    row = position * n_ids
                     while rep:
                         low = rep & -rep
                         rep ^= low
-                        pair = (position, ste_rids[low.bit_length() - 1])
-                        if pair not in reports:
-                            reports.add(pair)
-                            new.append(pair)
+                        keys.append(row + ste_rindex[low.bit_length() - 1])
                 remaining = active
                 while remaining:
                     low = remaining & -remaining
@@ -260,10 +351,7 @@ class StreamScanner:
                     if fired_out:
                         if mod_reports[i]:
                             n_events += 1
-                            pair = (position, mod_rids[i])
-                            if pair not in reports:
-                                reports.add(pair)
-                                new.append(pair)
+                            keys.append(position * n_ids + mod_rindex[i])
                         next_enabled |= out_ste[i]
                         hooks = out_hooks[i]
                         if hooks is not None:
@@ -305,28 +393,43 @@ class StreamScanner:
         stats.bit_vector_ops += bv_ops
         stats.bit_vector_weighted_ops += bv_weighted
         stats.reports += n_events
+        new = columns_of_keys(keys, tables.report_ids)
+        self._log.append(new)
         return new
 
-    def finish(self) -> set[tuple[int, Optional[str]]]:
-        """Mark end-of-stream; returns the distinct report set.
+    def finish(self) -> None:
+        """Mark end-of-stream.
 
         After ``finish()`` further :meth:`feed` calls raise (use
         :meth:`reset` to scan a new stream with the same tables).
         """
         self._finished = True
-        return self.reports
 
     # -- one-shot conveniences (mirror the reference simulator) ------------
-    def scan(self, data: Chunk) -> set[tuple[int, Optional[str]]]:
-        """Reset, consume ``data`` as one chunk, finish."""
+    def scan(self, data: Chunk) -> ReportColumns:
+        """Reset, consume ``data`` as one chunk, finish; the reports."""
         self.reset()
         self.feed(data)
-        return self.finish()
+        self.finish()
+        return self.reports
 
     def match_ends(self, data: Chunk) -> list[int]:
         """Distinct report positions, for differential testing."""
         self.scan(data)
-        return sorted({position for position, _ in self.reports})
+        return sorted(set(self._log.ends))
+
+
+def columns_of_keys(keys: list[int], ids: Sequence[Optional[str]]) -> ReportColumns:
+    """:class:`ReportColumns` of one feed's ``position * len(ids) +
+    index`` keys (deduplicated here: two STEs may raise one report id
+    on the same byte)."""
+    width = len(ids) or 1
+    keys = sorted(set(keys))
+    return ReportColumns(
+        array("q", [key // width for key in keys]),
+        array("q", [key % width for key in keys]),
+        ids,
+    )
 
 
 def scan_bytes(

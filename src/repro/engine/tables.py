@@ -111,8 +111,12 @@ class TransitionTables:
     start_mask: int = 0
     #: reporting STEs
     report_ste_mask: int = 0
-    #: STE index -> report id (None for non-reporting STEs)
-    ste_report_ids: list[Optional[str]] = field(default_factory=list)
+    #: report index -> report id: every distinct id of the network once,
+    #: in first-seen order (STEs, then modules).  Scanners report
+    #: ``(end, report index)`` columns against this table.
+    report_ids: list[Optional[str]] = field(default_factory=list)
+    #: STE index -> report index (-1 for non-reporting STEs)
+    ste_report_index: list[int] = field(default_factory=list)
 
     # -- module side (indexed in topological order) ------------------------
     module_ids: list[str] = field(default_factory=list)
@@ -127,7 +131,8 @@ class TransitionTables:
     bv_weights: list[float] = field(default_factory=list)
     #: module reports on en_out?
     module_reports: list[bool] = field(default_factory=list)
-    module_report_ids: list[Optional[str]] = field(default_factory=list)
+    #: module index -> report index (-1 for non-reporting modules)
+    module_report_index: list[int] = field(default_factory=list)
     #: start is ALL_INPUT (``pre`` re-armed every cycle)
     module_all_input: list[bool] = field(default_factory=list)
     #: initial prev_pre (START_OF_DATA or ALL_INPUT)
@@ -225,7 +230,8 @@ def compile_tables(network: Network) -> TransitionTables:
     tables.ste_ids = [ste.id for ste in stes]
     tables.match_masks = [0] * alphabet.n_classes
     tables.succ_masks = [0] * len(stes)
-    tables.ste_report_ids = [None] * len(stes)
+    tables.ste_report_index = [-1] * len(stes)
+    report_index: dict[Optional[str], int] = {}
     ste_hooks: list[list[tuple[int, int]]] = [[] for _ in stes]
     byte_class = tables.byte_class
     for i, ste in enumerate(stes):
@@ -241,7 +247,9 @@ def compile_tables(network: Network) -> TransitionTables:
             tables.start_mask |= bit
         if ste.report:
             tables.report_ste_mask |= bit
-            tables.ste_report_ids[i] = ste.report_id
+            tables.ste_report_index[i] = report_index.setdefault(
+                ste.report_id, len(report_index)
+            )
 
     # -- module tables -----------------------------------------------------
     n_modules = len(module_topo)
@@ -254,7 +262,7 @@ def compile_tables(network: Network) -> TransitionTables:
     tables.bv_body_masks = [0] * n_modules
     tables.bv_weights = [0.0] * n_modules
     tables.module_reports = [False] * n_modules
-    tables.module_report_ids = [None] * n_modules
+    tables.module_report_index = [-1] * n_modules
     tables.module_all_input = [False] * n_modules
     tables.module_initial_pre = [False] * n_modules
     tables.out_ste_masks = [0] * n_modules
@@ -267,7 +275,10 @@ def compile_tables(network: Network) -> TransitionTables:
         tables.module_lo[i] = module.lo
         tables.module_hi[i] = module.hi
         tables.module_reports[i] = module.report
-        tables.module_report_ids[i] = module.report_id
+        if module.report:
+            tables.module_report_index[i] = report_index.setdefault(
+                module.report_id, len(report_index)
+            )
         tables.module_all_input[i] = module.start is StartType.ALL_INPUT
         tables.module_initial_pre[i] = module.start in (
             StartType.START_OF_DATA,
@@ -282,6 +293,7 @@ def compile_tables(network: Network) -> TransitionTables:
             tables.bv_out_masks[i] = _range_mask(module.lo, module.hi)
             tables.bv_body_masks[i] = _range_mask(1, module.hi - 1)
             tables.bv_weights[i] = module.hi / GEOMETRY.bit_vector_bits_per_pe
+    tables.report_ids = list(report_index)
 
     # -- connections -------------------------------------------------------
     for conn in network.connections:

@@ -77,7 +77,7 @@ from .engine.backends import (
     validated_backend_names,
 )
 from .engine.parallel import LocalMatcher
-from .engine.scanner import Chunk, coerce_chunk
+from .engine.scanner import Chunk, ReportColumns, coerce_chunk
 from .engine.tables import TransitionTables, compile_tables
 from .hardware.cost import AreaReport, area_of_mapping, energy_of_run
 from .hardware.simulator import ActivityStats
@@ -459,25 +459,34 @@ class RulesetMatcher(LocalMatcher):
     # -- scanning ------------------------------------------------------------
     def _result_from_reports(
         self,
-        reports: Iterable[tuple[int, Optional[str]]],
+        reports: ReportColumns,
         bytes_scanned: int,
         stats: ActivityStats,
     ) -> ScanResult:
-        """Apply the facade's reporting semantics to raw hardware
-        reports: ``$`` end-of-data gating, deterministic naming of
+        """Apply the facade's reporting semantics to a scanner's report
+        columns: ``$`` end-of-data gating, deterministic naming of
         unnamed reports, Table 2 energy pricing."""
-        matches: dict[str, set[int]] = {}
-        for position, rule_id in reports:
-            rule = rule_id if rule_id is not None else UNNAMED_REPORT
-            if rule in self._end_anchored and position != bytes_scanned:
+        # the columns are distinct and ordered by (end, index), so each
+        # report index's ends come out ascending and distinct
+        ends_of: list[list[int]] = [[] for _ in reports.ids]
+        for end, index in zip(reports.ends.tolist(), reports.index.tolist()):
+            ends_of[index].append(end)
+        matches: dict[str, list[int]] = {}
+        for code, ends in zip(reports.ids, ends_of):
+            rule = code if code is not None else UNNAMED_REPORT
+            if rule in self._end_anchored:
+                ends = ends[-1:] if ends and ends[-1] == bytes_scanned else []
+            if not ends:
                 continue
-            matches.setdefault(rule, set()).add(position)
+            if rule in matches:  # an unnamed report and a literal UNNAMED_REPORT id
+                ends = sorted(set(matches[rule]).union(ends))
+            matches[rule] = ends
         energy = energy_of_run(stats, self.mapping)
-        # rule ids are sorted so the mapping's order is deterministic
-        # (report sets iterate in hash order), matching merge_scan_results
+        # rule ids are sorted so the mapping's order is deterministic,
+        # matching merge_scan_results
         return ScanResult(
             bytes_scanned=bytes_scanned,
-            matches={rule: sorted(ends) for rule, ends in sorted(matches.items())},
+            matches={rule: matches[rule] for rule in sorted(matches)},
             energy_nj_per_byte=energy.nj_per_byte,
             compile_info=self.compile_info,
         )

@@ -288,7 +288,7 @@ class ClusterSession(MatchSession):
 
     def _collect(self) -> list[Match]:
         """Newly arrived per-shard events past each cursor, re-tagged
-        with this session's stream (unsorted: the base class orders)."""
+        with this session's stream, in :attr:`Match.sort_key` order."""
         fresh: list[Match] = []
         for index, client in enumerate(self._matcher._clients):
             events = client._events.get(self._wire, [])
@@ -298,6 +298,7 @@ class ClusterSession(MatchSession):
                     Match(rule=rule, end=end, stream=self.stream, generation=gen)
                 )
             self._parts[index] = seen
+        fresh.sort(key=lambda match: match.sort_key)
         return fresh
 
 

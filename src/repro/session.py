@@ -38,11 +38,13 @@ The layer cake:
 
 Every registered execution backend (``stream``, ``block``,
 ``reference``, and third-party registrations) works under a session:
-backends already report incrementally from ``feed``, the session layer
-only resolves names and applies the facade semantics (``$`` gating,
-:data:`UNNAMED_REPORT`).  The batch entry points (``scan``,
-``scan_stream``, ``scan_many``, ``matched_rules``) are thin wrappers
-over sessions, so both surfaces are one code path.
+backends already report incrementally from ``feed``, as ``(end, report
+index)`` columns, and the session layer gates, orders and names them
+(``$`` gating, :data:`UNNAMED_REPORT`) through one
+:class:`ReportLayout` per matcher, building each :class:`Match` once.
+The batch entry points (``scan``, ``scan_stream``, ``scan_many``,
+``matched_rules``) are thin wrappers over sessions, so both surfaces
+are one code path.
 """
 
 from __future__ import annotations
@@ -61,7 +63,8 @@ from typing import (
     runtime_checkable,
 )
 
-from .engine.scanner import Chunk, coerce_chunk
+from .engine.block import numpy_or_none
+from .engine.scanner import Chunk, ReportColumns, coerce_chunk
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .matching import ResourceSummary, ScanResult
@@ -72,6 +75,7 @@ __all__ = [
     "match_dict",
     "MatchSession",
     "SessionPart",
+    "ReportLayout",
     "Matcher",
     "SessionScans",
     "MultiStreamScanner",
@@ -255,6 +259,98 @@ class SessionPart:
     finalize: Optional[Callable[..., "ScanResult"]] = None
 
 
+class ReportLayout:
+    """How a session turns its parts' report columns into :class:`Match`
+    events, built once per matcher from the parts' report-id tables and
+    ``$`` gates.
+
+    Part ``p``'s report index ``i`` is the session-wide index ``g =
+    offsets[p] + i``.  Every ``g`` has a *rank*, its place in
+    :attr:`Match.sort_key` order of ``(rule, code)`` across all parts,
+    so within one session (one stream tag) the integer key ``end * size
+    + rank`` sorts exactly as :attr:`Match.sort_key` does -- across a
+    :class:`~repro.engine.parallel.ShardedMatcher`'s shards too.
+    ``rules`` and ``codes`` are indexed by rank; ``gated`` by ``g``
+    marks the ``$``-anchored rules.
+    """
+
+    __slots__ = ("offsets", "size", "rank", "gated", "any_gated", "rules", "codes", "_vector")
+
+    def __init__(self, parts: Sequence[SessionPart]):
+        codes: list[Optional[str]] = []
+        gated: list[bool] = []
+        self.offsets: list[int] = []
+        for part in parts:
+            ids = part.scanner.tables.report_ids
+            self.offsets.append(len(codes))
+            codes.extend(ids)
+            gated.extend(_rule_of(code) in part.end_anchored for code in ids)
+        order = sorted(
+            range(len(codes)), key=lambda g: (_rule_of(codes[g]), codes[g] or "")
+        )
+        rank = [0] * len(codes)
+        for r, g in enumerate(order):
+            rank[g] = r
+        self.size = len(codes) or 1
+        self.rules = [_rule_of(codes[g]) for g in order]
+        self.codes = [codes[g] for g in order]
+        self.rank = rank
+        self.gated = gated
+        self.any_gated = any(gated)
+        np = numpy_or_none()
+        # NumPy with rank and gate as arrays; without NumPy, order() loops
+        self._vector = None if np is None else (
+            np, np.array(rank, dtype=np.int64), np.array(gated, dtype=bool)
+        )
+
+    def order(
+        self, feeds: Sequence[ReportColumns], n: int
+    ) -> tuple[list[int], list[int], list[int]]:
+        """One feed's columns from every part, merged: the ends and
+        ranks of the ungated reports in :attr:`Match.sort_key` order,
+        and the sorted ranks of the gated ones ending at ``n`` (the
+        stream length after this feed) -- the only ones ``finish()``
+        could emit."""
+        if not any(len(columns) for columns in feeds):
+            return [], [], []
+        size = self.size
+        if self._vector is None:
+            keys: list[int] = []
+            held: list[int] = []
+            rank, gated = self.rank, self.gated
+            for columns, offset in zip(feeds, self.offsets):
+                for end, index in zip(columns.ends.tolist(), columns.index.tolist()):
+                    g = offset + index
+                    if not gated[g]:
+                        keys.append(end * size + rank[g])
+                    elif end == n:
+                        held.append(rank[g])
+            keys.sort()
+            held.sort()
+            return [key // size for key in keys], [key % size for key in keys], held
+        np, rank, gated = self._vector
+        if len(feeds) == 1:
+            ends = np.asarray(feeds[0].ends)
+            g = np.asarray(feeds[0].index)
+        else:
+            ends = np.concatenate([np.asarray(columns.ends) for columns in feeds])
+            g = np.concatenate(
+                [np.asarray(c.index) + offset for c, offset in zip(feeds, self.offsets)]
+            )
+        held = []
+        if self.any_gated:
+            gate = gated[g]
+            if gate.any():
+                held = np.sort(rank[g[gate & (ends == n)]]).tolist()
+                ends, g = ends[~gate], g[~gate]
+        ends, ranks = np.divmod(np.sort(ends * size + rank[g]), size)
+        return ends.tolist(), ranks.tolist(), held
+
+
+def _rule_of(code: Optional[str]) -> str:
+    return code if code is not None else UNNAMED_REPORT
+
+
 class MatchSession:
     """One live scan of one logical stream, emitting :class:`Match` events.
 
@@ -291,6 +387,7 @@ class MatchSession:
         *,
         stream: Optional[str] = None,
         on_match: Optional[MatchSink] = None,
+        layout: Optional[ReportLayout] = None,
     ):
         if not parts:
             raise ValueError("a session needs at least one scanner")
@@ -302,6 +399,11 @@ class MatchSession:
         self._bytes = 0
         self._finished = False
         self._result: Optional["ScanResult"] = None
+        # built from the parts on first feed unless the matcher kept one
+        self._layout = layout
+        # ranks of the gated reports ending on the last byte of the last
+        # non-empty feed: all that finish() can emit
+        self._held: list[int] = []
 
     # -- introspection -----------------------------------------------------
     @property
@@ -329,7 +431,6 @@ class MatchSession:
 
     # -- streaming ---------------------------------------------------------
     def _emit(self, matches: list[Match]) -> list[Match]:
-        matches.sort(key=lambda match: match.sort_key)
         if self.on_match is not None:
             for match in matches:
                 self.on_match(match)
@@ -388,32 +489,28 @@ class MatchSession:
     # backend scanners; the cluster session overrides exactly these to
     # go over the wire instead.
     def _feed_shards(self, chunk: bytes) -> list[Match]:
-        """Run ``chunk`` through every shard; the new matches, unsorted."""
-        tag = self.stream
-        out: list[Match] = []
-        for part in self._parts:
-            gate = part.end_anchored
-            for position, code in part.scanner.feed(chunk):
-                rule = code if code is not None else UNNAMED_REPORT
-                if rule in gate:
-                    continue  # only reportable once the stream length is known
-                out.append(Match(rule, position, tag, code))
-        return out
+        """Run ``chunk`` through every shard; the new matches in
+        :attr:`Match.sort_key` order."""
+        feeds = [part.scanner.feed(chunk) for part in self._parts]
+        if self._layout is None:
+            self._layout = ReportLayout(self._parts)
+        ends, ranks, held = self._layout.order(feeds, self._bytes + len(chunk))
+        if len(chunk):
+            self._held = held
+        return self._matches(ends, ranks)
 
     def _finish_shards(self) -> list[Match]:
         """End the stream on every shard; the matches that unlocks."""
-        tag = self.stream
-        n = self._bytes
-        out: list[Match] = []
         for part in self._parts:
-            gate = part.end_anchored
-            for position, code in part.scanner.finish():
-                if position != n:
-                    continue
-                rule = code if code is not None else UNNAMED_REPORT
-                if rule in gate:
-                    out.append(Match(rule, position, tag, code))
-        return out
+            part.scanner.finish()
+        if not self._held:
+            return []
+        return self._matches([self._bytes] * len(self._held), self._held)
+
+    def _matches(self, ends: list[int], ranks: list[int]) -> list[Match]:
+        layout = self._layout
+        rules, codes, tag = layout.rules, layout.codes, self.stream
+        return [Match(rules[r], end, tag, codes[r]) for end, r in zip(ends, ranks)]
 
     def _merge_result(self) -> "ScanResult":
         """One :class:`~repro.matching.ScanResult` across all shards."""

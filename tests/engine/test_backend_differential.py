@@ -68,7 +68,8 @@ def _assert_backends_agree(tables, chunks, context):
         scanner = get_backend(info.name).make_scanner(tables)
         for chunk in chunks:
             scanner.feed(chunk)
-        outcomes[info.name] = (info, scanner.finish(), scanner.stats)
+        scanner.finish()
+        outcomes[info.name] = (info, scanner.reports, scanner.stats)
 
     assert "stream" in outcomes and "reference" in outcomes
     _, want_reports, want_stats = outcomes["reference"]
@@ -166,5 +167,7 @@ def test_byte_at_a_time_matches_one_shot_on_every_backend(data):
             drip.feed(bytes([b]))
         one = backend.make_scanner(tables)
         one.feed(data)
-        assert drip.finish() == one.finish(), info.name
+        drip.finish()
+        one.finish()
+        assert drip.reports == one.reports, info.name
         assert drip.stats.equivalent(one.stats), info.name

@@ -7,7 +7,13 @@ unknown-engine error, graceful degradation without NumPy) and the
 shape, chunking, and all five synthetic suites.
 """
 
+import os
+import platform
+import subprocess
+import sys
+import textwrap
 import time
+from pathlib import Path
 
 import pytest
 
@@ -214,7 +220,8 @@ class TestReferenceBackend:
         new = []
         for chunk in (b"xab", b"bc", b"abbbbc"):
             new.extend(scanner.feed(chunk))
-        assert scanner.finish() == StreamScanner(tables).scan(b"xabbcabbbbc")
+        scanner.finish()
+        assert scanner.reports == StreamScanner(tables).scan(b"xabbcabbbbc")
         assert set(new) == scanner.reports
         assert scanner.bytes_fed == 11
 
@@ -289,7 +296,8 @@ class TestBlockScannerEquivalence:
             want_reports, want_stats = _reference(compiled.network, data)
             scanner.reset()
             scanner.feed(data)
-            assert scanner.finish() == want_reports, (pattern, data)
+            scanner.finish()
+            assert scanner.reports == want_reports, (pattern, data)
             assert scanner.stats.equivalent(want_stats), (pattern, data)
 
     @pytest.mark.parametrize("block_size", [2, 3, 7, 64])
@@ -304,7 +312,8 @@ class TestBlockScannerEquivalence:
         tables = compile_tables(ruleset.network)
         scanner = BlockScanner(tables, block_size=block_size)
         scanner.feed(data)
-        assert scanner.finish() == want_reports
+        scanner.finish()
+        assert scanner.reports == want_reports
         assert scanner.stats.equivalent(want_stats)
 
     def test_chunked_feed_equals_one_shot(self):
@@ -318,7 +327,9 @@ class TestBlockScannerEquivalence:
         new = []
         for offset in range(0, len(data), 13):
             new.extend(chunked.feed(data[offset : offset + 13]))
-        assert chunked.finish() == one.finish()
+        chunked.finish()
+        one.finish()
+        assert chunked.reports == one.reports
         assert set(new) == chunked.reports
         assert chunked.stats.equivalent(one.stats)
 
@@ -326,8 +337,10 @@ class TestBlockScannerEquivalence:
         tables = _tables("ab")
         scanner = BlockScanner(tables)
         new = scanner.feed(b"ab ab ab")
-        assert new == [(2, "p"), (5, "p"), (8, "p")]
-        assert scanner.feed(b" ab") == [(11, "p")]
+        assert new.ends.tolist() == [2, 5, 8]
+        assert new.index.tolist() == [0, 0, 0] and tables.report_ids == ["p"]
+        assert list(new) == [(2, "p"), (5, "p"), (8, "p")]
+        assert list(scanner.feed(b" ab")) == [(11, "p")]
 
     def test_feed_after_finish_raises(self):
         scanner = BlockScanner(_tables("ab"))
@@ -347,7 +360,8 @@ class TestBlockScannerEquivalence:
         want_reports, want_stats = _reference(compiled.network, data)
         scanner = BlockScanner(tables, block_size=16)
         scanner.feed(data)
-        assert scanner.finish() == want_reports
+        scanner.finish()
+        assert scanner.reports == want_reports
         assert scanner.stats.equivalent(want_stats)
         sweep = scanner.sweep_stats
         assert sweep.modules_vectorized
@@ -374,7 +388,8 @@ class TestBlockScannerEquivalence:
             want_reports, want_stats = _reference(ruleset.network, data)
             scanner = BlockScanner(compile_tables(ruleset.network))
             scanner.feed(data)
-            assert scanner.finish() == want_reports
+            scanner.finish()
+            assert scanner.reports == want_reports
             assert scanner.stats.equivalent(want_stats)
 
     def test_program_shared_across_scanners(self):
@@ -408,6 +423,44 @@ class TestBlockScannerEquivalence:
                 best[name] = min(best[name], time.perf_counter() - start)
         assert scanners["block"].reports == scanners["stream"].reports != set()
         assert best["stream"] / best["block"] >= 2.0, best
+
+    @pytest.mark.skipif(
+        sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+        reason="minor-fault counts and the glibc heap are Linux/glibc specifics",
+    )
+    def test_blocks_reuse_the_heap_the_last_block_freed(self):
+        """A sweep frees its lanes at every block boundary; the next block
+        must reuse that heap, not fault it back in from the OS (on the
+        40-rule suite: thousands of minor faults a pass when glibc trims
+        the heap top, a few dozen when it keeps it).  A fresh interpreter
+        counts them: the allocator setting is process-wide."""
+        script = textwrap.dedent(
+            """
+            import resource
+            from repro.matching import RulesetMatcher
+            from tests.helpers import planted_snort40
+
+            rules, data = planted_snort40()
+            matcher = RulesetMatcher(rules, engine="block")
+
+            def scan_pass():
+                with matcher.session() as session:
+                    for at in range(0, len(data), 1 << 14):
+                        session.feed(data[at : at + (1 << 14)])
+
+            scan_pass()
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            scan_pass()
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+            """
+        )
+        root = Path(__file__).resolve().parents[2]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root)])}
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            cwd=root, env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        assert int(out.stdout) < 500, out.stdout
 
 
 class TestFacadeEngineSelection:

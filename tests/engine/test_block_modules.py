@@ -55,7 +55,8 @@ def _tables(pattern):
 def _want(tables, data):
     reference = StreamScanner(tables)
     reference.feed(data)
-    return reference.finish(), reference.stats
+    reference.finish()
+    return reference.reports, reference.stats
 
 
 def _assert_every_split_exact(tables, data, block_size, splits=None):
@@ -75,7 +76,8 @@ def _assert_every_split_exact(tables, data, block_size, splits=None):
             got = getattr(scanner._scalar, name)
             assert got == getattr(cut, name), (name, context)
         scanner.feed(data[split:])
-        assert scanner.finish() == want_reports, context
+        scanner.finish()
+        assert scanner.reports == want_reports, context
         assert scanner.stats.equivalent(want_stats), context
         sweep = scanner.sweep_stats
         assert sweep.modules_vectorized, context
@@ -438,7 +440,8 @@ class TestRejectedTables:
         scanner = BlockScanner(tables, block_size=16)
         for offset in range(0, len(data), 48):
             scanner.feed(data[offset : offset + 48])
-        assert scanner.finish() == want_reports
+        scanner.finish()
+        assert scanner.reports == want_reports
         assert scanner.stats.equivalent(want_stats)
         sweep = scanner.sweep_stats
         assert sweep.committed_blocks == 0
@@ -478,7 +481,9 @@ class TestStoredProgram:
             chunk = data[offset : offset + 3 * block_size + 1]
             assert warm.feed(chunk) == fresh.feed(chunk)
             assert warm._scalar._enabled == fresh._scalar._enabled
-        assert warm.finish() == fresh.finish() != set()
+        warm.finish()
+        fresh.finish()
+        assert warm.reports == fresh.reports != set()
         assert warm.stats == fresh.stats  # exact, not merely equivalent
         assert warm.sweep_stats == fresh.sweep_stats
         return loaded

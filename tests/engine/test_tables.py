@@ -71,7 +71,8 @@ def test_single_pattern_equivalence(pattern):
         want_reports, want_stats = _reference(compiled.network, data)
         scanner.reset()
         scanner.feed(data)
-        assert scanner.finish() == want_reports, (pattern, data)
+        scanner.finish()
+        assert scanner.reports == want_reports, (pattern, data)
         assert scanner.stats.equivalent(want_stats), (pattern, data)
 
 
@@ -184,4 +185,5 @@ def test_feed_after_finish_raises():
         scanner.feed(b"ab")
     scanner.reset()
     scanner.feed(b"xab")
-    assert scanner.finish() == {(3, "p")}
+    scanner.finish()
+    assert scanner.reports == {(3, "p")}

@@ -123,3 +123,19 @@ def forbid_rederivation(setattr_=setattr) -> None:
             if any(value is function for function in forbidden):
                 setattr_(module, attr, rederived)
     setattr_(block._BlockProgram, "__init__", rederived)
+
+
+def forbid_report_views(setattr_=setattr) -> None:
+    """Make reading any built-in scanner's ``reports`` view raise: the
+    session's ``feed``/``finish`` path must work from the columns
+    ``feed`` returns, decoding nothing.  Pass ``monkeypatch.setattr`` to
+    have it undone after the test."""
+    from repro.engine.backends.reference import ReferenceScanner
+    from repro.engine.block import BlockScanner
+    from repro.engine.scanner import StreamScanner
+
+    def decoded(self):
+        raise AssertionError("reports view read on the feed/finish path")
+
+    for scanner_class in (StreamScanner, BlockScanner, ReferenceScanner):
+        setattr_(scanner_class, "reports", property(decoded))

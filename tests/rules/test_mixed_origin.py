@@ -50,7 +50,8 @@ def _scan_all_backends(tables, data):
             continue
         scanner = get_backend(info.name).make_scanner(tables)
         scanner.feed(data)
-        outcomes[info.name] = (info, scanner.finish(), scanner.stats)
+        scanner.finish()
+        outcomes[info.name] = (info, scanner.reports, scanner.stats)
     return outcomes
 
 
