@@ -329,6 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--stats", action="store_true",
         help="also print the merged cluster STATS snapshot",
     )
+    # read by the supervision loop spawn mode shares with serve
+    p_cluster.set_defaults(reload=False, control=None)
 
     p_rules = sub.add_parser(
         "rules",
@@ -676,9 +678,9 @@ def _serve_summary(stats) -> None:
 
 
 class _ServeControl:
-    """The control socket's target under ``serve``: the fleet's
-    generation and stats, and ``RELOAD`` through the same ``reload``
-    that SIGHUP runs (it re-reads ``--rules``)."""
+    """The control socket's target: the fleet's generation and stats,
+    and ``RELOAD`` through the same ``reload`` that SIGHUP runs (it
+    re-reads ``--rules``)."""
 
     def __init__(self, fleet, reload):
         self._fleet = fleet
@@ -692,16 +694,77 @@ class _ServeControl:
         return self._fleet.stats()
 
 
+def _supervise(fleet, args, work=None) -> int:
+    """Drive a started fleet, then drain it: the one loop behind
+    ``serve`` and ``cluster``'s spawn mode.
+
+    ``work`` (a one-shot scan) runs instead of serving; otherwise the
+    fleet serves until SIGINT/SIGTERM or the control socket's
+    ``STOP``, with ``--reload`` arming SIGHUP hot reload and
+    ``--control`` the unix control socket.  The drain prints the
+    respawn count and the ``served ...`` summary; returns ``work``'s
+    exit code (0 when serving).
+    """
+    import signal
+    import threading
+
+    from .serve.control import ControlServer
+
+    stop = threading.Event()
+    reload_requested = threading.Event()
+
+    def do_reload() -> int:
+        """Re-read ``--rules`` and hot-swap it: SIGHUP and the control
+        socket's ``RELOAD`` both land here."""
+        try:
+            generation = fleet.reload(rules=_read_rules(args.rules))
+        except Exception as exc:  # noqa: BLE001 - operator-facing
+            print(f"reload failed: {exc}", file=sys.stderr, flush=True)
+            raise
+        print(f"reloaded ruleset: generation {generation}", flush=True)
+        return generation
+
+    code = 0
+    control = None
+    try:
+        if work is not None:
+            code = work()
+        else:
+            handlers = {signal.SIGINT: stop.set, signal.SIGTERM: stop.set}
+            if args.reload and hasattr(signal, "SIGHUP"):
+                handlers[signal.SIGHUP] = reload_requested.set
+            for signum, action in handlers.items():
+                signal.signal(signum, lambda *_, act=action: act())
+            if args.control:
+                control = ControlServer(
+                    _ServeControl(fleet, do_reload), args.control,
+                    on_stop=stop.set,
+                )
+                control.start()
+                print(f"control socket at {args.control}", file=sys.stderr)
+            while not stop.wait(0.2):
+                if reload_requested.is_set():
+                    reload_requested.clear()
+                    with contextlib.suppress(Exception):
+                        do_reload()  # already reported; keep serving
+    finally:
+        print("draining...", file=sys.stderr)
+        if control is not None:
+            control.stop()
+        fleet.stop(drain=True)
+    if fleet.restarts:
+        print(f"respawned {fleet.restarts} worker(s)", file=sys.stderr)
+    if fleet.final_stats is not None:
+        _serve_summary(fleet.final_stats)
+    return code
+
+
 def _cmd_serve(args) -> int:
     """``serve``: compile once, supervise a fleet of ``--workers``
     server processes (default one -- the configuration the ``serve40``
     benchmark workload measures) until a signal arrives, then drain
     gracefully.  ``--reload`` arms SIGHUP hot ruleset reload,
     ``--control`` a unix control socket."""
-    import signal
-    import threading
-
-    from .serve.control import ControlServer
     from .serve.fleet import FleetError, WorkerFleet
 
     rules = _read_rules(args.rules)
@@ -732,48 +795,7 @@ def _cmd_serve(args) -> int:
         f"{sum(fleet.cache_hits)} warm-started, generation {fleet.generation})",
         flush=True,
     )
-
-    stop = threading.Event()
-    reload_requested = threading.Event()
-    signal.signal(signal.SIGINT, lambda *_: stop.set())
-    signal.signal(signal.SIGTERM, lambda *_: stop.set())
-    if args.reload and hasattr(signal, "SIGHUP"):
-        signal.signal(signal.SIGHUP, lambda *_: reload_requested.set())
-
-    def do_reload() -> int:
-        """Re-read ``--rules`` and hot-swap it: SIGHUP and the control
-        socket's ``RELOAD`` both land here."""
-        try:
-            generation = fleet.reload(rules=_read_rules(args.rules))
-        except Exception as exc:  # noqa: BLE001 - operator-facing
-            print(f"reload failed: {exc}", file=sys.stderr, flush=True)
-            raise
-        print(f"reloaded ruleset: generation {generation}", flush=True)
-        return generation
-
-    control = None
-    if args.control:
-        control = ControlServer(
-            _ServeControl(fleet, do_reload), args.control, on_stop=stop.set
-        )
-        control.start()
-        print(f"control socket at {args.control}", file=sys.stderr)
-    try:
-        while not stop.wait(0.2):
-            if reload_requested.is_set():
-                reload_requested.clear()
-                with contextlib.suppress(Exception):
-                    do_reload()  # already reported; keep serving
-    finally:
-        print("draining...", file=sys.stderr)
-        if control is not None:
-            control.stop()
-        fleet.stop(drain=True)
-    if fleet.restarts:
-        print(f"respawned {fleet.restarts} worker(s)", file=sys.stderr)
-    if fleet.final_stats is not None:
-        _serve_summary(fleet.final_stats)
-    return 0
+    return _supervise(fleet, args)
 
 
 def _cmd_connect(args) -> int:
@@ -849,9 +871,6 @@ def _cmd_connect(args) -> int:
 def _cmd_cluster(args) -> int:
     """``cluster``: spawn or attach to a shard-server fleet and either
     one-shot a tagged scan (``--input``) or serve until a signal."""
-    import signal
-    import threading
-
     from .serve.cluster import LocalShardCluster, RemoteShardedMatcher
 
     def scan_with(matcher) -> int:
@@ -896,37 +915,28 @@ def _cmd_cluster(args) -> int:
             shards=args.shards,
             host=args.host,
             ports=ports,
-            processes=True,
             **_compile_options(args),
         )
         cluster.start()
     except (OSError, RuntimeError, ValueError) as exc:
         print(f"error: cannot start shard servers: {exc}", file=sys.stderr)
         return 2
-    code = 0
-    try:
-        addresses = ",".join(f"{host}:{port}" for host, port in cluster.addresses)
-        # the ready line is machine-readable: smoke tests poll for it
-        print(
-            f"cluster of {cluster.shard_count} shard(s) on {addresses} "
-            f"({cluster.rule_count} rules, engine {args.engine}, "
-            f"mode {cluster.mode})",
-            flush=True,
-        )
-        if args.input is not None:
-            with RemoteShardedMatcher(
-                cluster.addresses, retries=args.retries
-            ) as matcher:
-                code = scan_with(matcher)
-        else:
-            stop = threading.Event()
-            signal.signal(signal.SIGINT, lambda *_: stop.set())
-            signal.signal(signal.SIGTERM, lambda *_: stop.set())
-            stop.wait()
-    finally:
-        print("draining...", file=sys.stderr)
-        _serve_summary(cluster.stop(drain=True))
-    return code
+    addresses = ",".join(f"{host}:{port}" for host, port in cluster.addresses)
+    # the ready line is machine-readable: smoke tests poll for it
+    print(
+        f"cluster of {cluster.shard_count} shard(s) on {addresses} "
+        f"({cluster.rule_count} rules, engine {args.engine}, "
+        f"mode {cluster.mode})",
+        flush=True,
+    )
+
+    def scan() -> int:
+        with RemoteShardedMatcher(
+            cluster.addresses, retries=args.retries
+        ) as matcher:
+            return scan_with(matcher)
+
+    return _supervise(cluster, args, None if args.input is None else scan)
 
 
 def _cmd_rules(args) -> int:

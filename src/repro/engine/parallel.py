@@ -48,10 +48,10 @@ __all__ = [
 def mp_context(prefer: Sequence[str] = ("fork", "spawn")):
     """The best available :mod:`multiprocessing` context, or ``None``.
 
-    ``fork`` first: the serve fleet's workers and the cluster's shard
-    processes inherit the parent's module state for free; ``spawn`` as
+    ``fork`` first: the serve fleet's workers (replicas or cluster
+    shards) inherit the parent's module state for free; ``spawn`` as
     the portable fallback.  ``None`` means no multiprocessing at all
-    (restricted sandbox) -- callers degrade to in-process serving.
+    (restricted sandbox): the fleet then fails to start.
     """
     try:
         import multiprocessing

@@ -17,12 +17,13 @@ length-prefixed payloads.  The pieces:
 * :mod:`repro.serve.client` -- :class:`MatchClient` and the one-shot
   :func:`scan_tagged_remote`, mirrors of
   :class:`~repro.session.MultiStreamScanner` over the wire;
-* :mod:`repro.serve.fleet` -- :class:`WorkerFleet`: N worker
-  processes sharing one ``host:port`` via ``SO_REUSEPORT`` (or a
-  passed listener), each a full ``MatchServer`` warmed from the
-  shared ruleset cache, with hot ruleset reload (generation-stamped
-  ``MATCH`` lines, atomic :class:`MatcherHandle` swap) and crash
-  respawn;
+* :mod:`repro.serve.fleet` -- :class:`WorkerFleet`: the one
+  supervisor of worker processes, each a full ``MatchServer`` warmed
+  from the shared ruleset cache: N replicas sharing one ``host:port``
+  via ``SO_REUSEPORT`` (or a passed listener), or one rule bucket per
+  worker on its own port (a cluster), with hot ruleset reload
+  (generation-stamped ``MATCH`` lines, atomic :class:`MatcherHandle`
+  swap) and crash respawn on the worker's own spec and port;
 * :mod:`repro.serve.control` -- :class:`ControlServer` /
   :class:`ControlClient`: the unix-socket operator channel
   (``PING``/``GEN``/``STATS``/``RELOAD``/``STOP``);
@@ -32,11 +33,11 @@ length-prefixed payloads.  The pieces:
   :class:`~repro.engine.parallel.ShardedMatcher`), with lockstep
   FEED fan-out, merged match streams, and
   :class:`ClusterPartialResultError` on mid-flight shard failure;
-  :class:`LocalShardCluster` spawns the shard servers locally;
-* :mod:`repro.serve.worker` -- the one worker bootstrap behind both
-  the fleet's workers and the cluster's shard processes
-  (:class:`MatcherSpec` recipe, child entry point, parent-side
-  process handle).
+  :class:`LocalShardCluster` is the fleet whose workers are those
+  shards, run locally;
+* :mod:`repro.serve.worker` -- the one worker bootstrap behind every
+  fleet worker, replica or shard (:class:`MatcherSpec` recipe, child
+  entry point, parent-side process handle).
 
 CLI: ``python -m repro serve --rules ... --port ... [--workers N
 --reload --control PATH]``, ``python -m repro connect --port ...``,

@@ -190,6 +190,13 @@ class MatchClient:
                 )
         return self._built
 
+    def take_events(self, stream: str) -> list[tuple[str, int, int]]:
+        """Remove and return ``stream``'s ``(rule, end, generation)``
+        events: a long-lived client frees a closed stream this way
+        (:attr:`matches` keeps every stream otherwise)."""
+        self._built.pop(stream, None)
+        return self._events.pop(stream, [])
+
     # -- commands ----------------------------------------------------------
     async def open(self, stream: str) -> None:
         """Open a tagged stream (``OPEN``; awaits the ``OK``)."""

@@ -40,14 +40,13 @@ the error's :attr:`~ClusterPartialResultError.delivered` map (no hang,
 no silent loss).  Shard (re)attachment reuses
 :meth:`MatchClient.connect`'s ``retries=N`` jittered backoff.
 
-:class:`LocalShardCluster` is the dev/CI harness: it shards one rule
-list with the same dedup + round-robin policy as ``ShardedMatcher``
+:class:`LocalShardCluster` runs the shard servers locally: it is a
+:class:`~repro.serve.fleet.WorkerFleet` whose workers each hold one
+bucket of the same dedup + round-robin policy as ``ShardedMatcher``
 (:func:`~repro.compiler.pipeline.dedupe_rules` then
-:func:`~repro.engine.parallel.shard_rules`) and spawns one
-``MatchServer`` per bucket -- in-process on a private event loop, or
-one OS process per shard (``processes=True``) for real parallelism,
-each child booted by the same :mod:`repro.serve.worker` bootstrap as a
-fleet worker.  Topology and sizing guidance: ``docs/SERVING.md``
+:func:`~repro.engine.parallel.shard_rules`) on their own port, so a
+killed shard is respawned on its address and a ruleset reload
+re-buckets.  Topology and sizing guidance: ``docs/SERVING.md``
 "Cluster deployment".
 """
 
@@ -55,16 +54,16 @@ from __future__ import annotations
 
 import asyncio
 import threading
-from dataclasses import replace
 from typing import Iterable, Optional, Sequence, Union
 
 from ..compiler.pipeline import dedupe_rules
-from ..engine.parallel import mp_context, shard_rules
-from ..session import Match, MatchSession, MatchSink, SessionScans, match_dict
+from ..engine.parallel import merge_scan_results, shard_rules
+from ..session import Match, MatchSession, MatchSink, SessionScans
 from .client import MatchClient, StreamSummary
+from .fleet import WorkerFleet
 from .protocol import validate_stream_tag
 from .stats import ServerStats, merge_server_stats
-from .worker import MatcherSpec, WorkerConfig, WorkerProcess, stop_workers
+from .worker import MatcherSpec
 
 __all__ = [
     "ClusterPartialResultError",
@@ -159,10 +158,10 @@ class _LoopThread:
     block on :meth:`run`.
     """
 
-    def __init__(self, name: str = "repro-cluster"):
+    def __init__(self):
         self._loop = asyncio.new_event_loop()
         self._thread = threading.Thread(
-            target=self._loop.run_forever, name=name, daemon=True
+            target=self._loop.run_forever, name="repro-cluster", daemon=True
         )
         self._thread.start()
 
@@ -212,6 +211,7 @@ class ClusterSession(MatchSession):
         self._wire = matcher._claim_wire_tag(stream)
         self._delivered: list[Match] = []
         self._summaries: Optional[list[StreamSummary]] = None
+        self._shard_results: list = []
         matcher._fanout(
             lambda client: client.open(self._wire), op="OPEN", session=self
         )
@@ -257,34 +257,33 @@ class ClusterSession(MatchSession):
 
     def _finish_shards(self) -> list[Match]:
         """Close the stream on every shard (the servers gate
-        ``$``-anchored rules, so their matches arrive with the CLOSE)."""
+        ``$``-anchored rules, so their matches arrive with the CLOSE),
+        then fold each shard's ``(rule, end)`` events into its
+        :class:`~repro.matching.ScanResult` and take them out of the
+        long-lived shard clients."""
+        from ..matching import ScanResult
+
         self._summaries = self._matcher._fanout(
             lambda client: client.close_stream(self._wire),
             op="CLOSE",
             session=self,
         )
         self._matcher._open_sessions.pop(self._wire, None)
-        return self._collect()
+        fresh = self._collect()
+        for client, summary in zip(self._matcher._clients, self._summaries):
+            ends: dict[str, set[int]] = {}
+            for rule, end, _ in client.take_events(self._wire):
+                ends.setdefault(rule, set()).add(end)
+            self._shard_results.append(ScanResult(
+                bytes_scanned=summary.bytes_scanned,
+                matches={rule: sorted(at) for rule, at in ends.items()},
+            ))
+        return fresh
 
     def _merge_result(self):
-        """Per-shard :class:`~repro.matching.ScanResult`\\ s folded with
+        """Per-shard results folded with
         :func:`~repro.engine.parallel.merge_scan_results`."""
-        from ..engine.parallel import merge_scan_results
-        from ..matching import ScanResult
-
-        assert self._summaries is not None
-        return merge_scan_results(
-            [
-                ScanResult(
-                    bytes_scanned=summary.bytes_scanned,
-                    matches=match_dict(
-                        Match(rule, end)
-                        for rule, end, _ in client._events.get(self._wire, [])
-                    ),
-                )
-                for client, summary in zip(self._matcher._clients, self._summaries)
-            ]
-        )
+        return merge_scan_results(self._shard_results)
 
     def _collect(self) -> list[Match]:
         """Newly arrived per-shard events past each cursor, re-tagged
@@ -430,9 +429,9 @@ class RemoteShardedMatcher(SessionScans):
         Reuses :meth:`MatchClient.connect`'s jittered-backoff retries.
         Sessions that were open when the shard died stay failed -- a
         reattached shard has no memory of their streams -- but sessions
-        opened afterwards use the fresh connection.  ``address``
-        replaces the shard's endpoint (a restarted server rarely keeps
-        its ephemeral port).
+        opened afterwards use the fresh connection.  A shard of a
+        :class:`LocalShardCluster` comes back on its own port, so
+        ``address`` is needed only when a server moved.
         """
         if address is not None:
             self._addresses[shard] = parse_endpoint(address)
@@ -555,33 +554,26 @@ class RemoteShardedMatcher(SessionScans):
         )
 
 
-# -- local shard-server harness --------------------------------------------
-class LocalShardCluster:
-    """Spawn M local shard ``MatchServer``\\ s from one ruleset (dev/CI).
+# -- local shard cluster ---------------------------------------------------
+class LocalShardCluster(WorkerFleet):
+    """A :class:`~repro.serve.fleet.WorkerFleet` whose workers are shards.
 
-    The shard policy is *identical* to
-    :class:`~repro.engine.parallel.ShardedMatcher`:
+    Each worker holds one rule bucket on its own port.  The shard
+    policy is *identical* to :class:`~repro.engine.parallel.ShardedMatcher`:
     :func:`~repro.compiler.pipeline.dedupe_rules` first (round-robin
     would otherwise scatter duplicate ids where no single compile sees
     the collision), then :func:`~repro.engine.parallel.shard_rules`
     round-robin -- so a remote cluster reports the same rule ids, the
-    same matches, as the in-process sharded matcher.
-
-    ``processes=False`` (default) runs every shard server on one
-    private event loop in this process -- fastest startup, perfect for
-    tests.  It survives only as the tests' in-process fixture and as
-    the fallback where ``multiprocessing`` is unavailable: ``repro
-    cluster`` always asks for processes, and every shard of an
-    in-process cluster scans under one GIL.  ``processes=True`` forks one
-    :class:`~repro.serve.worker.WorkerProcess` per shard (real CPU
-    parallelism, the production-shaped dev topology); only where
-    multiprocessing itself is unavailable does it degrade to
-    in-process serving (:attr:`mode` says which you got) -- a shard
-    child that fails to start raises.  ``**compile_options`` are the
+    same matches, as the in-process sharded matcher (which is also the
+    in-process reference: this class always forks).  Everything else
+    is the fleet's: the parent's validation compile per bucket, the
+    ports reserved before any fork, crash respawn on the shard's own
+    port within ``restart_budget``, :meth:`reload` re-bucketing a new
+    ruleset, merged stats, and :meth:`stop` returning the merged final
+    stats.  ``**compile_options`` are the
     :class:`~repro.serve.worker.MatcherSpec` compile options
     (``engine``, ``unfold_threshold``, ``opt_level``, ``cache_dir``),
-    applied to every shard; each shard's spec holds its own rule
-    slice, built into one :class:`~repro.matching.RulesetMatcher`.
+    applied to every shard.  ``processes`` accepts only ``True``.
 
     Usage::
 
@@ -603,159 +595,70 @@ class LocalShardCluster:
         queue_depth: int = 32,
         threads: Optional[int] = None,
         drain_timeout: float = 10.0,
-        processes: bool = False,
+        processes: bool = True,
         **compile_options,
     ):
+        if not processes:
+            raise ValueError(
+                "LocalShardCluster always forks one process per shard; "
+                "ShardedMatcher is the in-process sharded matcher"
+            )
+        if shards < 1:
+            raise ValueError(f"shards must be >= 1, got {shards}")
         if ports and len(ports) != shards:
             raise ValueError(
                 f"got {len(ports)} port(s) for {shards} shard(s)"
             )
-        unique, self.duplicate_skipped = dedupe_rules(rules)
-        self._buckets = shard_rules(unique, shards)
-        self._specs = [
-            MatcherSpec(rules=tuple(bucket), **compile_options)
-            for bucket in self._buckets
-        ]
-        self._configs = [
-            WorkerConfig(
-                index=index,
-                host=host,
-                port=ports[index] if ports else 0,
-                queue_depth=queue_depth,
-                threads=threads,
-                drain_timeout=drain_timeout,
-            )
-            for index in range(shards)
-        ]
-        self.host = host
-        self.drain_timeout = drain_timeout
-        #: the multiprocessing context shard processes fork from;
-        #: ``None`` = serve in-process (asked for, or no multiprocessing)
-        self._ctx = mp_context() if processes else None
-        #: "in-process" or "processes" once started
-        self.mode: Optional[str] = None
-        self._addresses: list[tuple[str, int]] = []
-        self._loop: Optional[_LoopThread] = None
-        #: per shard: a ``MatchServer`` (in-process) or ``WorkerProcess``
-        self._servers: list = []
-        self._matchers: list = []
-        self._alive = [True] * shards
-        self._final_stats: Optional[ServerStats] = None
+        super().__init__(
+            rules,
+            workers=shards,
+            host=host,
+            queue_depth=queue_depth,
+            threads=threads,
+            drain_timeout=drain_timeout,
+            **compile_options,
+        )
+        self._ports = list(ports) or [0] * shards
 
-    # -- lifecycle ---------------------------------------------------------
+    def _slot_specs(self, rules) -> list[MatcherSpec]:
+        """One spec per round-robin bucket of the deduplicated rules
+        (the duplicates go to :attr:`duplicate_skipped`)."""
+        unique, self.duplicate_skipped = dedupe_rules(rules)
+        return [
+            MatcherSpec(rules=tuple(bucket), **self._options)
+            for bucket in shard_rules(unique, self.workers)
+        ]
+
     def start(self) -> list[tuple[str, int]]:
-        """Start every shard server; return their addresses.  A shard
-        that cannot start (a fixed port already bound, a compile error
-        in the child, ...) raises with the cause once whatever already
-        started is torn down; :attr:`mode` stays ``None``."""
-        if self.mode is not None:
-            raise RuntimeError("cluster already started")
-        try:
-            if self._ctx is None:
-                self._loop = _LoopThread("repro-shard-servers")
-                self._matchers = [spec.build() for spec in self._specs]
-            for shard, config in enumerate(self._configs):
-                server, address = self._start_shard(shard, config)
-                self._servers.append(server)
-                self._addresses.append(address)
-        except BaseException:
-            self._stop_servers(drain=False)
-            self._servers, self._addresses = [], []
-            raise
-        self.mode = "in-process" if self._ctx is None else "processes"
+        """Reserve every shard's port, fork the shards, wait for every
+        ready; return their addresses.  A port that cannot be bound
+        raises ``OSError`` before anything is forked, and a shard that
+        cannot start raises once the others are torn down; either way
+        :attr:`mode` stays ``None``."""
+        super().start()
         return self.addresses
 
-    def _start_shard(self, shard: int, config: WorkerConfig):
-        """Shard ``shard``'s ``(server, address)``: a forked
-        :class:`WorkerProcess`, or a server on the private loop."""
-        spec = self._specs[shard]
-        if self._ctx is not None:
-            worker = WorkerProcess(self._ctx, spec, config)
-            return worker, (self.host, worker.port)
-        server = config.make_server(self._matchers[shard], spec.engine)
-        self._loop.run(server.start(), timeout=30.0)
-        return server, (server.host, server.port)
+    # -- introspection -----------------------------------------------------
+    @property
+    def mode(self) -> Optional[str]:
+        """``"processes"`` while started, else ``None``."""
+        return "processes" if self._started else None
 
-    def _stop_servers(self, drain: bool) -> list[ServerStats]:
-        """Stop whatever is running (skipping killed shards) and the
-        private loop; the final per-shard snapshots that were still
-        obtainable."""
-        timeout = self.drain_timeout + 10.0
-        live = [
-            server for server, alive in zip(self._servers, self._alive) if alive
-        ]
-        if self._ctx is not None:
-            return stop_workers(live, drain, timeout)
-        for server in live:
-            try:
-                self._loop.run(server.stop(drain=drain), timeout=timeout)
-            except Exception:  # noqa: BLE001 - keep stopping the others
-                pass
-        if self._loop is not None:
-            self._loop.stop()
-        return [server.stats() for server in self._servers]
-
-    def stop(self, drain: bool = True) -> ServerStats:
-        """Stop every live shard; return the merged final stats
-        (:func:`~repro.serve.stats.merge_server_stats` over whatever
-        shards were still reachable -- a neutral snapshot if none)."""
-        if self._final_stats is None:
-            self._final_stats = merge_server_stats(self._stop_servers(drain))
-        return self._final_stats
-
-    def __enter__(self) -> "LocalShardCluster":
-        if self.mode is None:
-            self.start()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.stop()
-        return False
-
-    # -- introspection / test hooks ----------------------------------------
     @property
     def shard_count(self) -> int:
-        return len(self._specs)
+        return self.workers
 
     @property
     def addresses(self) -> list[tuple[str, int]]:
         """Shard server ``(host, port)`` addresses (after :meth:`start`)."""
-        return list(self._addresses)
+        return [(self.host, sock.getsockname()[1]) for sock in self._sockets]
 
     @property
     def buckets(self) -> list[list[tuple[str, str]]]:
         """The round-robin rule buckets, in shard order."""
-        return [list(bucket) for bucket in self._buckets]
+        return [list(spec.rules) for spec in self._specs]
 
     @property
     def rule_count(self) -> int:
         """Deduplicated rules served across all shards."""
-        return sum(len(bucket) for bucket in self._buckets)
-
-    def kill_shard(self, shard: int) -> None:
-        """Hard-kill one shard server (no drain) -- the fault-injection
-        hook the cluster tests use to simulate a shard dying."""
-        if not self._alive[shard]:
-            return
-        self._alive[shard] = False
-        if self._ctx is not None:
-            self._servers[shard].kill()
-        else:
-            self._loop.run(
-                self._servers[shard].stop(drain=False), timeout=10.0
-            )
-
-    def restart_shard(self, shard: int) -> tuple[str, int]:
-        """Start a fresh server for one (killed) shard's bucket; returns
-        its new address (ephemeral port: the old one may still linger in
-        TIME_WAIT).  Pairs with
-        :meth:`RemoteShardedMatcher.reattach`.  A replacement that
-        fails to start raises and leaves nothing running."""
-        if self._alive[shard]:
-            raise RuntimeError(f"shard {shard} is still running")
-        self._servers[shard], address = self._start_shard(
-            shard, replace(self._configs[shard], port=0)
-        )
-        self._alive[shard] = True
-        self._addresses[shard] = address
-        return address
+        return sum(len(spec.rules) for spec in self._specs)

@@ -1,36 +1,53 @@
-"""Process-sharded serving: a supervisor over N ``MatchServer`` workers.
+"""The one supervisor of ``MatchServer`` worker processes.
 
 One asyncio :class:`~repro.serve.server.MatchServer` is GIL-bound:
 aggregate serve throughput is capped near one core's sweep rate no
 matter how many clients connect.  :class:`WorkerFleet` is the
-scale-out layer -- the same story as kernel-sharded IDS deployments:
+scale-out layer, and the only code that spawns, watches, respawns,
+reloads and stops a :class:`~repro.serve.worker.WorkerProcess`.  It
+supervises a list of worker *slots*, each a :class:`MatcherSpec` on a
+reserved port, in one of two shapes:
 
-* the parent **reserves** one ``host:port`` and forks N worker
-  processes; each worker binds the same address with ``SO_REUSEPORT``,
-  so the kernel shards accepted connections across workers by 4-tuple
-  hash (zero parent involvement per connection).  On platforms
-  without ``SO_REUSEPORT`` the parent binds one listening socket and
-  passes it to every worker instead (classic pre-fork accept);
+* **replicas** (``WorkerFleet(rules, workers=N)``): N slots with the
+  whole ruleset on one ``host:port`` -- the same story as
+  kernel-sharded IDS deployments.  Each worker binds the port with
+  ``SO_REUSEPORT``, so the kernel shards accepted connections across
+  workers by 4-tuple hash (zero parent involvement per connection);
+* **shards** (:class:`~repro.serve.cluster.LocalShardCluster`): one
+  slot per round-robin rule bucket
+  (:func:`~repro.compiler.pipeline.dedupe_rules` then
+  :func:`~repro.engine.parallel.shard_rules`), each on its own port --
+  the paper's rule subsets on separate banks.
+
+The mechanics are the same for both:
+
+* the parent **reserves** every port before any fork and holds it for
+  the fleet's life, so a respawned worker comes back on the same
+  address.  With ``SO_REUSEPORT`` the reservation is a bound,
+  never-listening placeholder; on platforms without it the parent
+  binds one listening socket per port and passes it to that port's
+  workers instead (classic pre-fork accept);
 * each worker runs a **full** server -- own
   :class:`~repro.matching.RulesetMatcher`, own
-  :class:`~repro.engine.parallel.FeedPool` -- built from a picklable
-  :class:`MatcherSpec` by the shared :mod:`repro.serve.worker`
-  bootstrap.  The parent compiles the spec once first, so
-  every worker warm-starts from the shared compiled-ruleset cache
-  (``cache_hit`` is reported in each worker's ready event);
+  :class:`~repro.engine.parallel.FeedPool` -- built from its slot's
+  picklable :class:`MatcherSpec` by the shared
+  :mod:`repro.serve.worker` bootstrap.  The parent compiles each
+  distinct spec once first, so every worker warm-starts from the
+  shared compiled-ruleset cache (``cache_hit`` is reported in each
+  worker's ready event);
 * **hot reload** (:meth:`WorkerFleet.reload`): the parent compiles
-  the new ruleset into the cache, assigns the next fleet-wide
-  generation, and broadcasts; each worker loads the artifact off-loop
-  and atomically swaps its
+  the new ruleset (re-bucketed, for shards) into the cache, assigns
+  the next fleet-wide generation, and sends each worker its own spec;
+  each worker loads the artifact off-loop and atomically swaps its
   :class:`~repro.serve.server.MatcherHandle`.  In-flight streams
   drain on the tables they pinned at ``OPEN``; streams opened after
   the swap scan -- and stamp their ``MATCH``/``CLOSED`` lines -- with
   the new generation.  No connection is dropped;
 * **supervision**: a monitor thread respawns crashed workers (at the
-  current generation and spec) within ``restart_budget``;
-  :meth:`WorkerFleet.stats` merges per-worker snapshots into one
-  fleet-wide :class:`~repro.serve.stats.ServerStats` via
-  :func:`~repro.serve.stats.merge_server_stats`.
+  current generation, on their slot's spec and port) within
+  ``restart_budget``; :meth:`WorkerFleet.stats` merges per-worker
+  snapshots into one fleet-wide :class:`~repro.serve.stats.ServerStats`
+  via :func:`~repro.serve.stats.merge_server_stats`.
 
 Parent and workers talk over the :mod:`repro.serve.worker` pipe
 protocol; the data plane never touches the parent.  The supervisor is
@@ -109,7 +126,8 @@ class WorkerFleet:
     ``opt_level``, ``cache_dir``); ``cache_dir=None`` makes a private
     temp cache so workers still warm-start.  Every worker serves the
     whole ruleset; to split one, run a cluster
-    (:mod:`repro.serve.cluster`).
+    (:class:`~repro.serve.cluster.LocalShardCluster`, this class with
+    one rule bucket and one port per worker).
     """
 
     def __init__(
@@ -128,9 +146,6 @@ class WorkerFleet:
     ):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        self._spec = MatcherSpec(
-            rules=tuple(normalize_rules(rules)), **compile_options
-        )
         self.workers = workers
         self.host = host
         self.port = port
@@ -145,25 +160,39 @@ class WorkerFleet:
         self.skipped: list[tuple[str, str]] = []
         #: merged final ServerStats captured by :meth:`stop`
         self.final_stats: Optional[ServerStats] = None
+        self._options = compile_options
+        #: one spec per worker slot
+        self._specs = self._slot_specs(rules)
+        #: requested port per listening address: one, shared by every
+        #: replica (a shard cluster asks for one per worker)
+        self._ports = [port]
+        #: the reserved socket per listening address, held from
+        #: :meth:`start` to :meth:`stop` so respawns keep the port
+        self._sockets: list[socket.socket] = []
         self._reuse_requested = reuse_port
         self._reuse = False
         self._ctx = None
         self._workers: list[WorkerProcess] = []
-        self._placeholder: Optional[socket.socket] = None
-        self._listener: Optional[socket.socket] = None
         self._tmp_cache: Optional[tempfile.TemporaryDirectory] = None
         self._lock = threading.RLock()
         self._stop_event = threading.Event()
         self._monitor: Optional[threading.Thread] = None
         self._started = False
 
+    def _slot_specs(self, rules) -> list[MatcherSpec]:
+        """One :class:`MatcherSpec` per worker slot for ``rules``:
+        every replica holds the whole ruleset."""
+        spec = MatcherSpec(rules=tuple(normalize_rules(rules)), **self._options)
+        return [spec] * self.workers
+
     # -- lifecycle ---------------------------------------------------------
     def start(self) -> "WorkerFleet":
-        """Reserve the port, fork the workers, wait for every ready.
+        """Reserve the port(s), fork the workers, wait for every ready.
 
-        Bind failures propagate as ``OSError`` (the CLI turns them
-        into a one-line error); worker startup failures raise
-        :class:`FleetError` after tearing down what already started.
+        Bind failures propagate as ``OSError`` before anything is
+        forked (the CLI turns them into a one-line error); worker
+        startup failures raise :class:`FleetError` after tearing down
+        what already started.
         """
         if self._started:
             raise RuntimeError("fleet already started")
@@ -176,19 +205,23 @@ class WorkerFleet:
             multiprocessing.allow_connection_pickling()
         except Exception:  # pragma: no cover - best-effort (spawn only)
             pass
-        if self._spec.cache_dir is None:
+        if self._options.get("cache_dir") is None:
             # a private cache still pays off: the parent's validation
             # compile below populates it, so all N workers warm-start
             self._tmp_cache = tempfile.TemporaryDirectory(
                 prefix="repro-fleet-cache-"
             )
-            self._spec = replace(self._spec, cache_dir=self._tmp_cache.name)
+            self._options["cache_dir"] = self._tmp_cache.name
+            self._specs = [
+                replace(spec, cache_dir=self._tmp_cache.name)
+                for spec in self._specs
+            ]
         # compile once in the parent: validates the ruleset before any
         # worker exists and fills the shared cache
-        self.skipped = list(self._spec.build().skipped)
-        self._reserve_port()
+        self.skipped = _compile_in_parent(self._specs)
         self._started = True
         try:
+            self._reserve_ports()
             for index in range(self.workers):
                 self._workers.append(self._spawn(index))
         except BaseException:
@@ -201,48 +234,63 @@ class WorkerFleet:
         self._monitor.start()
         return self
 
-    def _reserve_port(self) -> None:
+    def _reserve_ports(self) -> None:
         self._reuse = (
             reuse_port_supported()
             if self._reuse_requested is None
             else self._reuse_requested
         )
+        for port in self._ports:
+            self._sockets.append(self._reserve(port))
+        self.host, self.port = self._sockets[0].getsockname()[:2]
+
+    def _reserve(self, port: int) -> socket.socket:
+        if self._reuse and port:
+            # SO_REUSEPORT lets a socket join a port that another
+            # SO_REUSEPORT server of this user already holds: an
+            # exclusive probe bind makes a taken fixed port fail here
+            with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as probe:
+                probe.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+                probe.bind((self.host, port))
         sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         try:
             sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
             if self._reuse:
+                # bound but never listen()ed: a non-listening socket
+                # gets no SYNs, so it only pins the port for the
+                # workers' own SO_REUSEPORT binds
                 sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
-            sock.bind((self.host, self.port))
+            sock.bind((self.host, port))
+            if not self._reuse:
+                # fallback: one parent listening socket per port, passed
+                # to its workers (the kernel wakes one acceptor per
+                # connection)
+                sock.listen(128)
         except BaseException:
             sock.close()
             raise
-        self.host, self.port = sock.getsockname()[:2]
-        if self._reuse:
-            # bound but never listen()ed: a non-listening socket gets
-            # no SYNs, so it only pins the port for the workers' own
-            # SO_REUSEPORT binds (and keeps it across respawns)
-            self._placeholder = sock
-        else:
-            # fallback: one parent listening socket shared by every
-            # worker (the kernel wakes one acceptor per connection)
-            sock.listen(128)
-            self._listener = sock
+        return sock
 
     def _spawn(self, index: int) -> WorkerProcess:
-        """Fork worker ``index`` at the current spec + generation and
-        wait for its ready event.  Callers hold the lock (or are
-        single-threaded start)."""
+        """Fork slot ``index``'s worker on its spec and port at the
+        current generation and wait for its ready event.  Callers hold
+        the lock (or are single-threaded start)."""
+        # replicas share the one socket; shard i has socket i
+        sock = self._sockets[index % len(self._sockets)]
         config = WorkerConfig(
             index=index,
             host=self.host,
-            port=self.port,
+            port=sock.getsockname()[1],
             queue_depth=self.queue_depth,
             threads=self.threads,
             drain_timeout=self.drain_timeout,
             reuse_port=self._reuse,
             generation=self.generation,
         )
-        return WorkerProcess(self._ctx, self._spec, config, self._listener)
+        return WorkerProcess(
+            self._ctx, self._specs[index], config,
+            None if self._reuse else sock,
+        )
 
     # -- control plane -----------------------------------------------------
     def reload(self, rules=None) -> int:
@@ -250,39 +298,33 @@ class WorkerFleet:
 
         ``rules=None`` recompiles the current rules (a cache-warm
         no-op swap -- useful to confirm the path); otherwise the new
-        ruleset replaces the old one fleet-wide.  The parent compiles
-        first, so an unusable ruleset -- empty, or every rule failed
-        to compile -- fails *here* as :class:`FleetError` with no
-        worker touched (partial skips stay permissive, mirroring
-        ``repro serve`` startup), and the workers' own builds are
-        cache warm starts.  Every worker acknowledges before this
-        returns; in-flight client streams are never dropped (they
-        drain on their pinned tables).
+        ruleset replaces the old one fleet-wide, split into one spec
+        per slot as at construction.  The parent compiles first, so an
+        unusable ruleset -- empty, or every rule failed to compile --
+        fails *here* as :class:`FleetError` with no worker touched
+        (partial skips stay permissive, mirroring ``repro serve``
+        startup), and the workers' own builds are cache warm starts.
+        Every worker acknowledges before this returns; in-flight
+        client streams are never dropped (they drain on their pinned
+        tables).
         """
         with self._lock:
             self._require_started()
-            if rules is None:
-                new_spec = self._spec
-            else:
-                new_spec = replace(
-                    self._spec, rules=tuple(normalize_rules(rules))
-                )
-            skipped = list(new_spec.build().skipped)
-            if rules is not None and skipped and len(skipped) >= len(
-                new_spec.rules
-            ):
+            specs = self._specs if rules is None else self._slot_specs(rules)
+            skipped = _compile_in_parent(specs)
+            total = sum(len(spec.rules) for spec in dict.fromkeys(specs))
+            if rules is not None and skipped and len(skipped) >= total:
                 reasons = "; ".join(f"{tag}: {why}" for tag, why in skipped)
                 raise FleetError(
                     f"reload rejected, no rule compiled ({reasons})"
                 )
             generation = self.generation + 1
-            payload = {
-                "cmd": "reload",
-                "generation": generation,
-                "spec": None if rules is None else new_spec,
-            }
-            for worker in self._workers:
-                worker.conn.send(payload)
+            for worker, spec in zip(self._workers, specs):
+                worker.conn.send({
+                    "cmd": "reload",
+                    "generation": generation,
+                    "spec": None if rules is None else spec,
+                })
             for worker in self._workers:
                 event = worker.await_event(
                     {"reloaded", "reload_failed"}, RELOAD_TIMEOUT
@@ -292,7 +334,7 @@ class WorkerFleet:
                         f"worker {worker.index} reload failed: "
                         f"{event.get('message')}"
                     )
-            self._spec = new_spec
+            self._specs = specs
             self.skipped = skipped
             self.generation = generation
             return generation
@@ -357,15 +399,16 @@ class WorkerFleet:
                     self.restarts += 1
                     worker.kill()  # already dead: reaps it, closes the pipe
                     try:
-                        self._workers[slot] = self._spawn(worker.index)
+                        self._workers[slot] = self._spawn(slot)
                     except (FleetError, OSError):
                         continue  # next tick retries (budget permitting)
 
     # -- shutdown ----------------------------------------------------------
-    def stop(self, drain: bool = True) -> None:
+    def stop(self, drain: bool = True) -> ServerStats:
         """Stop every worker (gracefully by default) and release the
-        port.  Idempotent.  Captures :attr:`final_stats` from the
-        workers' parting snapshots when draining."""
+        port(s).  Idempotent.  Returns -- and keeps as
+        :attr:`final_stats` -- the merge of the workers' parting
+        snapshots (a neutral snapshot if none answered)."""
         self._stop_event.set()
         if self._monitor is not None:
             self._monitor.join(timeout=5.0)
@@ -374,22 +417,30 @@ class WorkerFleet:
             finals = stop_workers(
                 self._workers, drain, self.drain_timeout + 5.0 if drain else 5.0
             )
-            if drain and finals:
+            if finals:
                 self.final_stats = merge_server_stats(finals)
             self._workers = []
-        for sock_attr in ("_placeholder", "_listener"):
-            sock = getattr(self, sock_attr)
-            if sock is not None:
-                sock.close()
-                setattr(self, sock_attr, None)
+        for sock in self._sockets:
+            sock.close()
+        self._sockets = []
         if self._tmp_cache is not None:
             self._tmp_cache.cleanup()
             self._tmp_cache = None
         self._started = False
+        if self.final_stats is None:
+            return merge_server_stats([])
+        return self.final_stats
 
     def __enter__(self) -> "WorkerFleet":
-        return self.start()
+        self.start()
+        return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         self.stop(drain=exc_type is None)
         return False
+
+
+def _compile_in_parent(specs: Sequence[MatcherSpec]) -> list[tuple[str, str]]:
+    """Build each distinct spec once (validating it and filling the
+    shared cache, so every worker warm-starts); the skipped rules."""
+    return [entry for spec in dict.fromkeys(specs) for entry in spec.build().skipped]

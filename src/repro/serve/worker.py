@@ -1,8 +1,9 @@
 """The one worker bootstrap behind every spawned ``MatchServer``.
 
-A :class:`~repro.serve.fleet.WorkerFleet` worker and a processes-mode
-:class:`~repro.serve.cluster.LocalShardCluster` shard are the same
-thing: a child process that builds a matcher from a picklable
+Every worker of a :class:`~repro.serve.fleet.WorkerFleet` -- a replica
+of ``repro serve`` or a shard of a
+:class:`~repro.serve.cluster.LocalShardCluster` -- is the same thing:
+a child process that builds a matcher from a picklable
 :class:`MatcherSpec`, serves it as one
 :class:`~repro.serve.server.MatchServer`, and talks to its parent over
 a :func:`multiprocessing.Pipe` carrying small dict messages (``ready``
@@ -11,8 +12,9 @@ module owns both halves of that contract -- the child entry point
 :func:`worker_main` and the parent-side :class:`WorkerProcess` handle
 (spawn, liveness-checked event wait, stop / join / kill that leaves no
 process or pipe behind) -- and :class:`MatcherSpec`, the only place
-the serving stack declares the compile options (the supervisors
-forward their ``**compile_options`` to it).
+the serving stack declares the compile options (the fleet forwards
+its ``**compile_options`` to it).  The fleet is the only caller of
+:class:`WorkerProcess` and :func:`stop_workers`.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ class MatcherSpec:
 
     Workers cannot receive a live matcher (scanner state is not
     picklable and must not be shared across processes anyway), so the
-    supervisors ship the *recipe*: the normalized rules plus the
+    fleet ships the *recipe*: the normalized rules plus the
     compile options of ``repro serve``/``cluster``.  :meth:`build` is
     the single construction path used by the parent's validation
     compile, every worker's startup, and every reload; it always builds
@@ -84,24 +86,6 @@ class WorkerConfig:
     reuse_port: bool = False
     generation: int = 0
 
-    def make_server(self, matcher, engine: Optional[str], sock=None):
-        """The ``MatchServer`` this config describes, serving
-        ``matcher`` (or a ``MatcherHandle``) on ``engine``."""
-        from .server import MatchServer
-
-        return MatchServer(
-            matcher,
-            host=self.host,
-            port=self.port,
-            engine=engine,
-            queue_depth=self.queue_depth,
-            workers=self.threads,
-            drain_timeout=self.drain_timeout,
-            sock=sock,
-            reuse_port=self.reuse_port,
-            worker=self.index,
-        )
-
 
 # -- worker process --------------------------------------------------------
 def worker_main(spec, config, conn, listen_sock=None):
@@ -137,12 +121,23 @@ def worker_main(spec, config, conn, listen_sock=None):
 async def _worker_async(spec, config, conn, listen_sock, report):
     import asyncio
 
-    from .server import MatcherHandle
+    from .server import MatcherHandle, MatchServer
 
     loop = asyncio.get_running_loop()
     matcher = spec.build()
     handle = MatcherHandle(matcher, generation=config.generation)
-    server = config.make_server(handle, spec.engine, sock=listen_sock)
+    server = MatchServer(
+        handle,
+        host=config.host,
+        port=config.port,
+        engine=spec.engine,
+        queue_depth=config.queue_depth,
+        workers=config.threads,
+        drain_timeout=config.drain_timeout,
+        sock=listen_sock,
+        reuse_port=config.reuse_port,
+        worker=config.index,
+    )
     await server.start()
 
     mailbox: asyncio.Queue = asyncio.Queue()

@@ -8,19 +8,19 @@ ruleset emits, per feed, across 64 interleaved streams, on every
 registered backend.
 
 The failure half: a shard that dies mid-flight (deterministic
-byte-offset RST via FaultProxy, or an outright ``kill_shard``) must
+byte-offset RST via FaultProxy, or a SIGKILLed shard process) must
 surface as :class:`ClusterPartialResultError` naming the shard, the
 affected streams, and the matches already delivered -- never a hang,
-never silently dropped matches.
-
-The shard-server half runs in both :class:`LocalShardCluster` modes --
-servers on a private loop in this process, and one forked
-:class:`~repro.serve.worker.WorkerProcess` per shard (the shape
-``repro cluster`` and the benchmark use).
+never silently dropped matches.  The cluster is a
+:class:`~repro.serve.fleet.WorkerFleet` of shard processes, so a
+killed shard comes back on its own port and a ruleset reload
+re-buckets every shard.
 """
 
 import contextlib
 import multiprocessing
+import os
+import signal
 import socket
 import time
 
@@ -39,15 +39,17 @@ from repro import (
 from repro.compiler.pipeline import dedupe_rules
 from repro.engine.parallel import mp_context, shard_rules
 from repro.serve.cluster import parse_endpoint
+from repro.serve.fleet import reuse_port_supported
 from tests.helpers import planted_snort40
 from tests.serve.chaoss import Fault, FaultProxy
 from tests.serve.test_server import RULES, offline_events, traffic_for
 
 ENGINES = [info.name for info in available_backends() if info.available]
 
-#: LocalShardCluster(processes=...) legs: forked shard processes are
-#: only a distinct mode where multiprocessing exists
-PROCESS_MODES = [False, True] if mp_context() is not None else [False]
+#: every started LocalShardCluster forks its shard processes
+needs_processes = pytest.mark.skipif(
+    mp_context() is None, reason="multiprocessing unavailable"
+)
 
 STREAM_COUNT = 64
 
@@ -101,26 +103,35 @@ class _Proxies:
 
 
 # -- the differential ------------------------------------------------------
+@needs_processes
 class TestClusterDifferential:
     @pytest.mark.parametrize(
-        "engine,processes",
+        "engine,listener_fallback",
         [(engine, False) for engine in ENGINES]
-        # forked shard processes: one engine is enough
-        + [(ENGINES[0], processes) for processes in PROCESS_MODES[1:]],
+        # the pass-the-listener ports: one engine is enough
+        + [(ENGINES[0], True)],
     )
-    def test_three_shards_equal_offline_on_64_streams(self, engine, processes):
+    def test_three_shards_equal_offline_on_64_streams(
+        self, engine, listener_fallback, monkeypatch
+    ):
         """64 interleaved streams through 3 network shards (behind TCP
-        interposers) == one offline scanner, event for event."""
+        interposers) == one offline scanner, event for event -- also
+        where each shard port is a listener the parent passes on
+        (platforms without ``SO_REUSEPORT``)."""
+        if listener_fallback:
+            monkeypatch.setattr(
+                "repro.serve.fleet.reuse_port_supported", lambda: False
+            )
         pairs = interleaved_pairs()
         offline = offline_events(RulesetMatcher(RULES), pairs, engine=engine)
         offline_results = MultiStreamScanner(
             RulesetMatcher(RULES), engine=engine
         ).scan_tagged(pairs)
 
-        with LocalShardCluster(
-            RULES, shards=3, engine=engine, processes=processes
-        ) as cluster:
-            assert cluster.mode == ("processes" if processes else "in-process")
+        with LocalShardCluster(RULES, shards=3, engine=engine) as cluster:
+            assert cluster.mode == "processes"
+            if listener_fallback:
+                assert cluster._reuse is False
             with _Proxies(cluster.addresses) as endpoints:
                 with RemoteShardedMatcher(endpoints) as remote:
                     events, results = remote_events(remote, pairs)
@@ -131,7 +142,6 @@ class TestClusterDifferential:
             assert results[tag].bytes_scanned == result.bytes_scanned
             assert results[tag].matches == result.matches
 
-    @pytest.mark.skipif(mp_context() is None, reason="no multiprocessing")
     def test_three_shard_processes_cost_under_twice_one(self, tmp_path):
         """The per-frame FEED+PING barrier is a latency bound, not a
         second scan: every shard scans every byte but holds 1/3 of the
@@ -149,7 +159,7 @@ class TestClusterDifferential:
             remotes = {}
             for shards in (1, 3):
                 cluster = stack.enter_context(
-                    LocalShardCluster(rules, shards=shards, processes=True, **unfolded)
+                    LocalShardCluster(rules, shards=shards, **unfolded)
                 )
                 remote = stack.enter_context(RemoteShardedMatcher(cluster.addresses))
                 result = remote.scan_stream(chunks)
@@ -193,6 +203,7 @@ class TestClusterDifferential:
 
 
 # -- shard failure ---------------------------------------------------------
+@needs_processes
 class TestShardFailure:
     def test_mid_flight_rst_yields_partial_result_error(self):
         """Shard 1's connection is RST mid-way through the second FEED
@@ -235,45 +246,71 @@ class TestShardFailure:
         assert [failure[0] for failure in err.failures] == [1]
 
     def test_killed_shard_yields_partial_result_error(self):
-        """kill_shard (no proxy, no drain) mid-session: same error
-        surface as a network fault, whether the shard was a server on
-        the private loop or a forked worker process."""
-        for processes in PROCESS_MODES:
-            with LocalShardCluster(RULES, shards=3, processes=processes) as cluster:
-                with RemoteShardedMatcher(cluster.addresses) as remote:
-                    session = remote.session(stream="victim")
-                    assert [(m.rule, m.end) for m in session.feed(b"zabc")] == [
-                        ("hit", 4)
-                    ]
-                    cluster.kill_shard(2)
-                    with pytest.raises(ClusterPartialResultError) as excinfo:
-                        for _ in range(50):  # the RST may take a beat to land
-                            session.feed(b"12345")
-            err = excinfo.value
-            assert err.shard == 2
-            assert "victim" in err.streams
-            delivered = [(m.rule, m.end) for m in err.delivered["victim"]]
-            assert delivered[0] == ("hit", 4)
+        """A SIGKILLed shard process (no proxy, no drain) mid-session:
+        same error surface as a network fault."""
+        with LocalShardCluster(RULES, shards=3) as cluster:
+            with RemoteShardedMatcher(cluster.addresses) as remote:
+                session = remote.session(stream="victim")
+                assert [(m.rule, m.end) for m in session.feed(b"zabc")] == [
+                    ("hit", 4)
+                ]
+                os.kill(cluster._workers[2].pid, signal.SIGKILL)
+                with pytest.raises(ClusterPartialResultError) as excinfo:
+                    for _ in range(50):  # the RST may take a beat to land
+                        session.feed(b"12345")
+        err = excinfo.value
+        assert err.shard == 2
+        assert "victim" in err.streams
+        delivered = [(m.rule, m.end) for m in err.delivered["victim"]]
+        assert delivered[0] == ("hit", 4)
 
     def test_restart_and_reattach_recovers(self):
-        """A restarted shard (new ephemeral port) plus reattach()
-        restores full service for sessions opened afterwards (both
-        shard-server modes)."""
-        for processes in PROCESS_MODES:
-            with LocalShardCluster(RULES, shards=3, processes=processes) as cluster:
-                with RemoteShardedMatcher(cluster.addresses) as remote:
-                    before = remote.scan(b"zabc 123")
-                    cluster.kill_shard(0)
-                    with pytest.raises(RuntimeError, match="still running"):
-                        cluster.restart_shard(1)
-                    address = cluster.restart_shard(0)
-                    remote.reattach(0, address=address, retries=5)
-                    after = remote.scan(b"zabc 123")
-                    assert after.matches == before.matches
-                    assert after.bytes_scanned == before.bytes_scanned
+        """The cluster respawns a SIGKILLed shard on its own port, so
+        reattach() with no address restores full service for sessions
+        opened afterwards."""
+        with LocalShardCluster(RULES, shards=3) as cluster:
+            with RemoteShardedMatcher(cluster.addresses) as remote:
+                before = remote.scan(b"zabc 123")
+                addresses = cluster.addresses
+                victim = cluster._workers[0].pid
+                os.kill(victim, signal.SIGKILL)
+                deadline = time.monotonic() + 30
+                while time.monotonic() < deadline:
+                    if cluster.restarts == 1 and cluster.alive == 3:
+                        break
+                    time.sleep(0.1)
+                assert (cluster.restarts, cluster.alive) == (1, 3)
+                assert cluster._workers[0].pid != victim
+                assert cluster.addresses == addresses
+                remote.reattach(0)
+                after = remote.scan(b"zabc 123")
+                assert after.matches == before.matches
+                assert after.bytes_scanned == before.bytes_scanned
+
+
+# -- reload ----------------------------------------------------------------
+@needs_processes
+class TestClusterReload:
+    def test_reload_rebuckets_every_shard(self):
+        """reload(new_rules) splits the new ruleset with the same policy
+        and swaps every shard to one new generation: a scan then equals
+        the in-process sharded matcher over the new rules."""
+        new_rules = [("hit", "abc"), ("fresh", "new!"), ("num", "[0-9]{4}"),
+                     ("zed", "z+q")]
+        data = b"zzq abc new! 1234 zq"
+        with LocalShardCluster(RULES, shards=3) as cluster:
+            assert cluster.reload(new_rules) == 1
+            assert [s.generation for s in cluster.worker_stats()] == [1, 1, 1]
+            assert cluster.buckets == shard_rules(new_rules, 3)
+            with RemoteShardedMatcher(cluster.addresses) as remote:
+                got = remote.scan(data)
+        want = ShardedMatcher(new_rules, shards=3).scan(data)
+        assert got.matches == want.matches
+        assert got.bytes_scanned == want.bytes_scanned
 
 
 # -- session semantics -----------------------------------------------------
+@needs_processes
 class TestClusterSession:
     def test_session_surface(self):
         with LocalShardCluster(RULES, shards=2) as cluster:
@@ -314,6 +351,21 @@ class TestClusterSession:
                 session.finish()
                 assert len(session.summaries()) == 2
 
+    def test_finished_sessions_leave_no_events_behind(self):
+        """A finished session takes its events out of the long-lived
+        shard clients: 50 sessions on one matcher leave none behind."""
+        data = b"zabc 123 ..xyz"
+        want = ShardedMatcher(RULES, shards=2).scan(data)
+        with LocalShardCluster(RULES, shards=2) as cluster:
+            with RemoteShardedMatcher(cluster.addresses) as remote:
+                for index in range(50):
+                    with remote.session(stream=f"s{index}") as session:
+                        session.feed(data)
+                    assert session.result().matches == want.matches
+                for client in remote._clients:
+                    assert client._events == {}
+                    assert client._built == {}
+
 
 # -- construction, stats ---------------------------------------------------
 class TestClusterConstruction:
@@ -333,13 +385,26 @@ class TestClusterConstruction:
         with pytest.raises(ValueError, match="shards must be >= 1"):
             LocalShardCluster(RULES, shards=0)
 
-    @pytest.mark.skipif(mp_context() is None, reason="no multiprocessing")
+    def test_in_process_mode_is_gone(self):
+        with pytest.raises(ValueError, match="ShardedMatcher"):
+            LocalShardCluster(RULES, shards=2, processes=False)
+
+    @needs_processes
     @pytest.mark.parametrize("taken", [0, 1])
-    def test_failed_shard_process_raises_and_leaves_nothing(self, taken):
-        """A shard child that cannot bind its fixed port fails start()
-        with the child's own bind error -- no silent in-process retry --
-        and whatever had already started is reaped."""
+    @pytest.mark.parametrize("holder_reuses_port", [False, True])
+    def test_failed_shard_process_raises_and_leaves_nothing(
+        self, taken, holder_reuses_port
+    ):
+        """A fixed shard port that is already bound fails start() with
+        the parent's own bind error while reserving the ports -- before
+        any shard is forked -- and leaves nothing behind.  A holder
+        that is itself an ``SO_REUSEPORT`` server (another cluster's
+        shard) is refused too, not joined."""
+        if holder_reuses_port and not reuse_port_supported():
+            pytest.skip("no SO_REUSEPORT on this platform")
         with socket.socket() as holder, socket.socket() as probe:
+            if holder_reuses_port:
+                holder.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
             holder.bind(("127.0.0.1", 0))
             holder.listen(1)
             probe.bind(("127.0.0.1", 0))
@@ -347,26 +412,24 @@ class TestClusterConstruction:
             ports[taken] = holder.getsockname()[1]
             probe.close()
             before = set(multiprocessing.active_children())
-            cluster = LocalShardCluster(
-                RULES, shards=2, processes=True, ports=ports
-            )
-            with pytest.raises(RuntimeError, match=r"(?i)address already in use"):
+            cluster = LocalShardCluster(RULES, shards=2, ports=ports)
+            with pytest.raises(OSError, match=r"(?i)address already in use"):
                 cluster.start()
         assert cluster.mode is None
         assert cluster.addresses == []
         assert set(multiprocessing.active_children()) == before
 
+    @needs_processes
     def test_stats_span_every_shard(self):
-        for processes in PROCESS_MODES:
-            with LocalShardCluster(RULES, shards=3, processes=processes) as cluster:
-                with RemoteShardedMatcher(cluster.addresses) as remote:
-                    remote.ping()
-                    remote.scan(b"zabc")
-                    per_shard = remote.shard_stats()
-                    assert len(per_shard) == 3
-                    merged = remote.stats()
-                    assert merged.workers == 3
-                    # every shard carried the fanned-out stream
-                    assert all(s.streams_total >= 1 for s in per_shard)
-                    assert remote.engine == "remote"
-                    assert remote.skipped == []
+        with LocalShardCluster(RULES, shards=3) as cluster:
+            with RemoteShardedMatcher(cluster.addresses) as remote:
+                remote.ping()
+                remote.scan(b"zabc")
+                per_shard = remote.shard_stats()
+                assert len(per_shard) == 3
+                merged = remote.stats()
+                assert merged.workers == 3
+                # every shard carried the fanned-out stream
+                assert all(s.streams_total >= 1 for s in per_shard)
+                assert remote.engine == "remote"
+                assert remote.skipped == []
