@@ -18,11 +18,11 @@ The library spans the paper's whole stack:
 * :mod:`repro.hardware` -- the augmented-CAMA functional simulator and
   the Table 2 energy/delay/area cost model;
 * :mod:`repro.engine` -- the streaming scan engine: precompiled
-  transition tables, the pluggable execution-backend registry
-  (``"stream"`` scalar interpreter, ``"block"`` NumPy vectorized
-  scanner, ``"reference"`` simulator, ``"auto"`` selection), chunked
-  ``feed``/``finish`` scanning, batch/sharded front-ends; every
-  backend report- and stats-equivalent to the reference simulator;
+  transition tables and two scanners over them (``"stream"`` scalar
+  interpreter, ``"block"`` NumPy vectorized scanner; ``"auto"`` picks
+  one), chunked ``feed``/``finish`` scanning, batch/sharded
+  front-ends; both report- and stats-equivalent to the ``"reference"``
+  simulator, which a matcher builds from its rules;
 * :mod:`repro.session` -- the session-oriented matching API:
   incremental :class:`Match` events with absolute offsets, the
   :class:`Matcher` protocol shared by single and sharded matchers,
@@ -74,16 +74,13 @@ from .compiler import (
 )
 from .compiler.mapping import NetworkMapping, map_network
 from .engine import (
-    Backend,
-    BackendInfo,
     BlockScanner,
     ShardedMatcher,
     StreamScanner,
     TransitionTables,
-    available_backends,
+    available_engines,
     compile_tables,
     merge_scan_results,
-    register_backend,
     resolve_backend,
 )
 from .hardware import (
@@ -193,11 +190,8 @@ __all__ = [
     "BlockScanner",
     "ShardedMatcher",
     "merge_scan_results",
-    # execution backends
-    "Backend",
-    "BackendInfo",
-    "available_backends",
-    "register_backend",
+    # engine names
+    "available_engines",
     "resolve_backend",
     # high-level facade
     "RulesetMatcher",

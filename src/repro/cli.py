@@ -7,10 +7,10 @@ Commands mirror the toolchain stages:
   file (``--rules``) into the persistent ruleset cache
   (``--cache-dir``) so later ``scan`` runs warm-start;
 * ``scan``     -- stream a file (or stdin) through a rule set in chunks
-  on a registry-selected execution backend (``--engine auto`` picks the
-  fastest available); ``-O1`` enables the
-  optimisation passes, ``--cache-dir`` reuses/creates cached
-  compilations, ``--verbose`` reports backend availability, compile/
+  on one engine (``--engine auto`` picks the fastest available);
+  ``-O1`` enables the optimisation passes, ``--cache-dir``
+  reuses/creates cached compilations, ``--verbose`` reports the
+  available engines, compile/
   cache timing, and per-rule skip reasons.  With ``--streams`` the
   input is treated as interleaved ``tag<TAB>chunk`` lines: one
   compiled ruleset serves every tagged stream through per-stream
@@ -60,7 +60,7 @@ from .compiler.pipeline import compile_pattern
 from .engine.backends import (
     AUTO_ENGINE,
     BackendUnavailable,
-    available_backends,
+    available_engines,
     engine_choices,
 )
 from .hardware.cost import area_of_mapping
@@ -185,11 +185,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_compile_options(
         p_scan,
         cache_help="warm-start from (and populate) the persistent ruleset cache",
-        engine_help="execution backend (from the backend registry): auto = "
-        "fastest available backend for the compiled ruleset; "
+        engine_help="execution engine: auto = fastest available "
+        "scanner for the compiled ruleset; "
         "stream = scalar interpreter; block = NumPy vectorized "
         "block scanner (if numpy is installed); reference = "
-        "node-by-node simulator",
+        "node-by-node simulator (recompiles the rules on a cache hit)",
     )
     p_scan.add_argument(
         "--streams",
@@ -543,9 +543,7 @@ def _cmd_scan(args) -> int:
         )
         for rule_id, reason in matcher.skipped:
             print(f"skipped {rule_id}: {reason}", file=sys.stderr)
-        for info in available_backends():
-            status = "available" if info.available else f"unavailable ({info.unavailable_reason})"
-            print(f"backend {info.name}: {status}", file=sys.stderr)
+        print(f"engines available: {', '.join(available_engines())}", file=sys.stderr)
     elif matcher.skipped:
         print(
             f"skipped {len(matcher.skipped)} rule(s); "
@@ -559,8 +557,8 @@ def _cmd_scan(args) -> int:
             matcher, args, "served", f" with {resources.rules_compiled} rules"
         )
     with _open_input(args.input) as handle:
-        # every registered backend streams, so one entry point serves
-        # all --engine choices (including reference and auto)
+        # every engine streams, so one entry point serves all --engine
+        # choices (including reference and auto)
         result = matcher.scan_stream(_chunks(handle, max(1, args.chunk_size)))
     print(
         f"scanned {result.bytes_scanned} bytes with "
@@ -1057,7 +1055,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _COMMANDS[args.command](args)
     except (BackendUnavailable, _InputError) as exc:
         # e.g. --engine block without numpy (argparse offers every
-        # registered name regardless of availability) or a missing
+        # engine name regardless of availability) or a missing
         # --input file: a clean message, not a traceback
         print(f"error: {exc}", file=sys.stderr)
         return 2

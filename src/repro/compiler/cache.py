@@ -5,12 +5,11 @@ is compiled and burned into the CAM arrays once, then every stream is
 served from the precomputed configuration.  This module gives the
 software pipeline the same warm-start path, and a hit is a *load*:
 everything a scan needs that is a function of (rules, compile options)
-is derived once on the cold path and stored -- network, transition
-tables (carrying each backend's prepared scan program in
-``tables.prepared``), the CAMA placement, and the per-rule facade
-metadata -- so a process restart runs neither the parser, the
-analysis, emission, lowering, ``map_network`` nor a backend's program
-build (``RulesetMatcher(cache_dir=...)``, or the CLI ``compile --rules
+is derived once on the cold path and stored -- the transition tables
+(carrying the block scanner's sweep program in ``tables.prepared``),
+the CAMA placement, and the per-rule facade metadata -- so a process
+restart runs neither the parser, the analysis, emission, lowering,
+``map_network`` nor the sweep-program build (``RulesetMatcher(cache_dir=...)``, or the CLI ``compile --rules
 ... --cache-dir ...`` / ``scan --cache-dir ...`` flows).
 
 Two layers share one directory and one pair of helpers
@@ -43,12 +42,11 @@ import hashlib
 import os
 import pickle
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, TypeVar, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from ..engine.tables import TransitionTables
-    from ..mnrl.network import Network
     from .mapping import NetworkMapping
     from .passes import OptimizationReport
 
@@ -81,7 +79,10 @@ __all__ = [
 #: (``report_ids``, ``ste_report_index``, ``module_report_index``) that
 #: scanners report against, and ``ModulePlan`` a ``report_index`` in
 #: place of its ``report_id`` -- a warm start loads the table.
-CACHE_VERSION = 5
+#: v6: the emitted ``Network`` left both ``TransitionTables`` and the
+#: artifact (the ``reference`` oracle recompiles it from the rules), and
+#: so did the artifact's ``backends`` list.
+CACHE_VERSION = 6
 
 #: Every global an entry's pickle may name, as ``(module, qualname)``:
 #: the ``repro`` dataclasses / enums / slot classes entries are made of
@@ -102,13 +103,6 @@ _ALLOWED_GLOBALS = frozenset(
         ("repro.hardware.cama", "Bank"),
         ("repro.hardware.cama", "ProcessingElement"),
         ("repro.hardware.params", "CamaGeometry"),
-        ("repro.mnrl.network", "Connection"),
-        ("repro.mnrl.network", "Network"),
-        ("repro.mnrl.nodes", "BitVectorNode"),
-        ("repro.mnrl.nodes", "CounterNode"),
-        ("repro.mnrl.nodes", "STE"),
-        ("repro.mnrl.nodes", "StartType"),
-        ("repro.regex.charclass", "CharClass"),
         ("repro.rules.loader", "TriageEntry"),
         ("repro.rules.triage", "TriageReport"),
         ("repro.rules.triage", "TriagedRule"),
@@ -137,22 +131,15 @@ class RulesetArtifact:
 
     version: int
     key: str
-    network: "Network"
-    #: carries the backends' scan programs in ``tables.prepared``
+    #: carries the block scanner's sweep program in ``tables.prepared``
     tables: "TransitionTables"
-    #: CAMA placement of ``network`` (what ``resources()`` and the
-    #: energy pricing read)
+    #: CAMA placement of the emitted network (what ``resources()`` and
+    #: the energy pricing read)
     mapping: "NetworkMapping"
     rules: list[RuleMeta]
     skipped: list[tuple[str, str]]
     opt_level: int
     optimization: Optional["OptimizationReport"]
-    #: canonical names of the execution backends the tables were
-    #: validated against (available + applicable) when this artifact
-    #: was written -- provenance for "can a warm start serve engine X
-    #: the way the compiling process did", surfaced as
-    #: ``RulesetMatcher.validated_backends``
-    backends: list[str] = field(default_factory=list)
 
 
 def ruleset_cache_key(

@@ -13,11 +13,10 @@ package is the software analogue of that split:
   backend's ``feed`` returns;
 * :mod:`repro.engine.block` -- :class:`BlockScanner`, the NumPy
   bit-parallel block scanner (optional dependency);
-* :mod:`repro.engine.backends` -- the pluggable execution-backend
-  subsystem: a registry mapping engine names (``"stream"``,
-  ``"block"``, ``"reference"``, plus ``"auto"`` selection) to scanner
-  factories, shared by the facade, the in-process matchers, and the
-  CLI;
+* :mod:`repro.engine.backends` -- the engine names (``"stream"``,
+  ``"block"``, the ``"reference"`` oracle, and ``"auto"``) and the one
+  function that resolves them to scanner factories, shared by the
+  facade, the in-process matchers, and the CLI;
 * :mod:`repro.engine.parallel` -- the in-process matcher bodies, the
   round-robin shard policy and per-shard result merge the cluster
   shares, and the serving layer's feed-offload threads.
@@ -29,13 +28,9 @@ report-equivalence with it (see ``tests/engine/`` and
 """
 
 from .backends import (
-    Backend,
-    BackendInfo,
     BackendUnavailable,
-    available_backends,
-    backend_names,
+    available_engines,
     engine_choices,
-    register_backend,
     resolve_backend,
 )
 from .block import BlockScanner
@@ -53,12 +48,8 @@ __all__ = [
     "ShardedMatcher",
     "merge_scan_results",
     "shard_rules",
-    "Backend",
-    "BackendInfo",
     "BackendUnavailable",
-    "available_backends",
-    "backend_names",
+    "available_engines",
     "engine_choices",
-    "register_backend",
     "resolve_backend",
 ]

@@ -21,8 +21,8 @@ Every shard's tables carry their own alphabet-class map (the partition
 is per-network, so a shard's scanners all share one 256-byte map plus
 ``k`` class masks); compile options -- including ``opt_level``,
 ``cache_dir`` for the persistent ruleset cache, and ``engine`` (an
-execution-backend name from :mod:`repro.engine.backends`, or
-``"auto"``) -- forward to each shard's matcher unchanged.
+engine name from :mod:`repro.engine.backends`, or ``"auto"``) --
+forward to each shard's matcher unchanged.
 """
 
 from __future__ import annotations
@@ -304,8 +304,8 @@ class ShardedMatcher(LocalMatcher):
         from ..compiler.pipeline import dedupe_rules
         from ..matching import RulesetMatcher
 
-        #: default execution backend, forwarded to every shard (any
-        #: registry name, or "auto")
+        #: default engine, forwarded to every shard (any engine name,
+        #: or "auto")
         self.engine: str = kwargs.get("engine", AUTO_ENGINE)
         # Deduplicate rule ids *before* sharding: round-robin would
         # otherwise scatter duplicates across shards where no single

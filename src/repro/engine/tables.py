@@ -30,7 +30,10 @@ accounting is unchanged).  ``tests/engine/`` asserts both.
 
 All fields are plain ints/lists/tuples, so tables pickle cheaply into
 the compiled-ruleset cache (:mod:`repro.compiler.cache`) -- and carry
-``prepared``, the backends' derived scan programs, with them.
+``prepared``, the block scanner's derived sweep program, with them.
+The network they were lowered from is not kept: the tables are the
+matcher, and only the ``reference`` oracle reads a network, which a
+matcher compiles again from its rules when asked.
 """
 
 from __future__ import annotations
@@ -152,19 +155,13 @@ class TransitionTables:
     #: (the reference re-arms those and enables their body STE each cycle)
     const_enable_mask: int = 0
 
-    #: the network these tables were lowered from, kept so executors
-    #: that interpret node objects (the ``"reference"`` backend) can be
-    #: resolved anywhere the tables travel -- including pickled cache
-    #: artifacts.  ``None`` for hand-built tables.
-    network: Optional[Network] = None
-
-    #: backend name -> that backend's table-derived, scan-invariant
-    #: state (the block backend's sweep program), filled by
-    #: ``Backend.prepare`` / on first scanner construction and read by
-    #: every scanner over these tables.  It is a function of the fields
-    #: above, so it takes no part in equality; it travels wherever the
-    #: tables are pickled (cache artifacts, pool workers), which is why
-    #: what backends put here holds builtins and ``repro`` classes only.
+    #: engine name -> that engine's table-derived, scan-invariant state
+    #: (the block scanner's sweep program), filled on the cold compile
+    #: path or on first scanner construction and read by every scanner
+    #: over these tables.  It is a function of the fields above, so it
+    #: takes no part in equality; it travels wherever the tables are
+    #: pickled (cache artifacts), which is why what scanners put here
+    #: holds builtins and ``repro`` classes only.
     prepared: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
@@ -213,7 +210,6 @@ def compile_tables(network: Network) -> TransitionTables:
     """
     network.validate()
     tables = TransitionTables()
-    tables.network = network
 
     stes = [node for node in network.nodes.values() if isinstance(node, STE)]
     ste_index = {ste.id: i for i, ste in enumerate(stes)}

@@ -55,7 +55,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .analysis.result import Method
 from .compiler.cache import (
@@ -68,17 +68,18 @@ from .compiler.cache import (
     save_artifact,
 )
 from .compiler.mapping import NetworkMapping, map_network
-from .compiler.passes import OptimizationReport, compute_alphabet_classes
+from .compiler.passes import OptimizationReport
 from .compiler.pipeline import CompiledRuleset, compile_ruleset, normalize_sourced
 from .engine.backends import (
     AUTO_ENGINE,
-    prepare_backends,
+    REFERENCE_ENGINE,
+    ReferenceScanner,
     resolve_backend,
-    validated_backend_names,
 )
+from .engine.block import BlockScanner, numpy_or_none
 from .engine.parallel import LocalMatcher
 from .engine.scanner import Chunk, ReportColumns, coerce_chunk
-from .engine.tables import TransitionTables, compile_tables
+from .engine.tables import KIND_COUNTER, TransitionTables, compile_tables
 from .hardware.cost import AreaReport, area_of_mapping, energy_of_run
 from .hardware.simulator import ActivityStats
 from .mnrl.network import Network
@@ -163,12 +164,13 @@ class CompileInfo:
     """How a :class:`RulesetMatcher` obtained its compiled form."""
 
     #: artifact loaded from the persistent cache (parsing, analysis,
-    #: emission, lowering, mapping and backend preparation all skipped)?
+    #: emission, lowering, mapping and the sweep-program build all
+    #: skipped)?
     cache_hit: bool
     #: wall-clock seconds spent producing the ready-to-scan state.  With
     #: a ``cache_dir`` that is all of it -- the scan program is built
     #: (cold) or loaded (warm) here, not on the first scan; without one,
-    #: table lowering and backend preparation stay lazy and are paid by
+    #: table lowering and the sweep-program build stay lazy and are paid by
     #: the first scan instead.
     seconds: float
     opt_level: int
@@ -222,24 +224,33 @@ def merge_compile_infos(infos: Sequence[CompileInfo]) -> CompileInfo:
     )
 
 
+def _open_scanner(engine: str, tables: TransitionTables, network: Callable[[], Network]):
+    """A fresh scanner of ``engine`` over ``tables``; the reference
+    oracle interprets ``network()``, the network the tables came from."""
+    resolved = resolve_backend(engine, tables)
+    if resolved.name == REFERENCE_ENGINE:
+        return ReferenceScanner(tables, network())
+    return resolved.make_scanner(tables)
+
+
 class RulesetMatcher(LocalMatcher):
     """Compile a rule set to augmented-CAMA form and scan streams.
 
-    Execution is delegated to the pluggable backend registry
-    (:mod:`repro.engine.backends`); every backend shares one semantics
-    contract (identical distinct reports, and -- for stats-exact
-    backends, which all built-ins are -- identical activity
-    statistics):
+    The compiled tables are the matcher: two scanners execute them,
+    and an oracle checks them, all with one semantics contract
+    (identical distinct reports and identical activity statistics;
+    names resolved by :mod:`repro.engine.backends`):
 
-    * ``"auto"`` (default) -- pick the fastest available backend that
-      applies to the compiled tables (the rule is stated in
-      :mod:`repro.engine.backends`);
+    * ``"auto"`` (default) -- ``"block"`` when NumPy imports and its
+      sweep analysis accepts the tables, else ``"stream"``;
     * ``"stream"`` -- precompiled transition tables, integer-bitmask
       per-byte loop;
     * ``"block"`` -- NumPy bit-parallel block sweeps (needs numpy);
     * ``"reference"`` -- the node-by-node
-      :class:`~repro.hardware.simulator.NetworkSimulator`, kept as the
-      executable specification the engines are tested against.
+      :class:`~repro.hardware.simulator.NetworkSimulator` over
+      :attr:`network`, kept as the executable specification the
+      scanners are tested against (on a cache hit its first use
+      compiles the rules again).
 
     Args:
         rules: pattern strings or ``(rule_id, pattern)`` pairs; rules
@@ -249,8 +260,8 @@ class RulesetMatcher(LocalMatcher):
         method: which static analysis drives module selection.
         strict_modules: keep the body-level single-token gate on
             (recommended; see ``repro.analysis.module_safety``).
-        engine: default engine for the scan entry points -- ``"auto"``
-            or any registered backend name.
+        engine: default engine for the scan entry points -- ``"auto"``,
+            ``"stream"``, ``"block"`` or ``"reference"``.
         opt_level: optimisation pipeline level
             (:mod:`repro.compiler.passes`).  ``0`` (default) preserves
             byte-exact :class:`~repro.hardware.simulator.ActivityStats`
@@ -262,9 +273,10 @@ class RulesetMatcher(LocalMatcher):
             On a key hit (same rules *and* same compile options) the
             matcher warm-starts from the stored artifact -- a pure
             load: parsing, analysis, emission, table lowering, CAMA
-            mapping and the backends' scan-program build are all
-            skipped; otherwise it does all of those once and writes
-            the artifact.  See :attr:`compile_info` for what happened.
+            mapping and the block scanner's sweep-program build are
+            all skipped; otherwise it does all of those once and
+            writes the artifact.  See :attr:`compile_info` for what
+            happened.
 
     Reporting semantics (all scan entry points): 1-based end offsets,
     no zero-length matches, ``$`` gated to end-of-data -- see the
@@ -291,7 +303,7 @@ class RulesetMatcher(LocalMatcher):
     ):
         if engine != AUTO_ENGINE:
             # fail fast -- one consistent unknown-engine error, and an
-            # unavailable backend (block without numpy) raises before
+            # unavailable engine (block without numpy) raises before
             # the compile spends seconds on a ruleset it cannot serve
             resolve_backend(engine)
         self.engine = engine
@@ -299,6 +311,17 @@ class RulesetMatcher(LocalMatcher):
         # sourced triples keep each rule's file:line provenance so
         # compile-time skip reasons (and the cache key) carry it
         named = normalize_sourced(rules)
+
+        # what compile_ruleset takes besides the rules: kept, with the
+        # rules, so a warm matcher can rebuild its network on demand
+        self._named = named
+        self._compile_options = dict(
+            unfold_threshold=unfold_threshold,
+            method=method,
+            strict_modules=strict_modules,
+            max_pairs=max_pairs,
+            opt_level=opt_level,
+        )
 
         phases: dict[str, float] = {}
         cache_path: Optional[str] = None
@@ -319,26 +342,17 @@ class RulesetMatcher(LocalMatcher):
         #: full compile-time state; ``None`` on a cache hit (the slim
         #: artifact carries everything the facade needs)
         self.ruleset: Optional[CompiledRuleset] = None
-        self._validated_backends: Optional[list[str]] = None
+        self._network: Optional[Network] = None
         if artifact is not None:
-            self.network: Network = artifact.network
             self._tables: Optional[TransitionTables] = artifact.tables
             self._rule_meta: list[RuleMeta] = artifact.rules
             self._skipped: list[tuple[str, str]] = artifact.skipped
             self.optimization: Optional[OptimizationReport] = artifact.optimization
-            self._validated_backends = list(artifact.backends)
             self.mapping: NetworkMapping = artifact.mapping
         else:
             with timed_phase(phases, "compile"):
-                self.ruleset = compile_ruleset(
-                    named,
-                    unfold_threshold=unfold_threshold,
-                    method=method,
-                    strict_modules=strict_modules,
-                    max_pairs=max_pairs,
-                    opt_level=opt_level,
-                )
-            self.network = self.ruleset.network
+                self.ruleset = compile_ruleset(named, **self._compile_options)
+            self._network = self.ruleset.network
             self._tables = None
             self._rule_meta = [
                 RuleMeta(
@@ -355,33 +369,29 @@ class RulesetMatcher(LocalMatcher):
                 self.mapping = map_network(self.network)
             if cache_dir is not None:
                 # the artifact holds everything a scan needs: lowering
-                # and the backends' scan programs are forced into it
+                # and the block scanner's sweep program are forced into it
                 with timed_phase(phases, "lower"):
                     tables = self.tables
                 with timed_phase(phases, "prepare"):
-                    prepare_backends(tables)
+                    if numpy_or_none() is not None:
+                        BlockScanner.can_sweep(tables)  # builds and keeps the program
                 with timed_phase(phases, "save"):
                     cache_path = save_artifact(
                         RulesetArtifact(
                             version=CACHE_VERSION,
                             key=key,
-                            network=self.network,
                             tables=tables,
                             mapping=self.mapping,
                             rules=self._rule_meta,
                             skipped=self._skipped,
                             opt_level=opt_level,
                             optimization=self.optimization,
-                            # which execution backends these tables
-                            # were validated against at compile time
-                            backends=validated_backend_names(tables),
                         ),
                         cache_dir,
                     )
 
         self._area: AreaReport = area_of_mapping(self.mapping)
         self._opt_level = opt_level
-        self._alphabet_classes: Optional[int] = None
         # `$`-anchored rules match only when the report position is the
         # final byte of the stream; the hardware reports every prefix
         # end, so the facade filters (real deployments gate the report
@@ -404,40 +414,35 @@ class RulesetMatcher(LocalMatcher):
         return self._skipped
 
     @property
+    def network(self) -> Network:
+        """The rules' emitted network: the compiler's intermediate form,
+        which only the ``reference`` oracle, ``viz`` and ``compile
+        --output`` read.  A cache hit does not load one: the first read
+        compiles the rules again with the same options (which lowers to
+        the cached tables) and keeps the result."""
+        if self._network is None:
+            self._network = compile_ruleset(self._named, **self._compile_options).network
+        return self._network
+
+    @property
     def tables(self) -> TransitionTables:
         """Precompiled transition tables (built lazily, cached; shared
-        by every table-engine scan and pickled into the cache artifact)."""
+        by every scan and pickled into the cache artifact)."""
         if self._tables is None:
             self._tables = compile_tables(self.network)
         return self._tables
 
-    @property
-    def validated_backends(self) -> list[str]:
-        """Execution backends (canonical names) validated for these
-        tables: recorded in the cache artifact at compile time for
-        warm starts, computed from the live registry otherwise."""
-        if self._validated_backends is None:
-            self._validated_backends = validated_backend_names(self.tables)
-        return list(self._validated_backends)
-
     def resources(self) -> ResourceSummary:
         bank = self.mapping.bank
         optimization = self.optimization
-        if self._tables is not None:
-            alphabet_classes = self._tables.n_classes
-        elif self._alphabet_classes is not None:
-            alphabet_classes = self._alphabet_classes
-        else:
-            # immutable after __init__, so compute the partition once
-            # even when the table engine is never used
-            alphabet_classes = compute_alphabet_classes(self.network).n_classes
-            self._alphabet_classes = alphabet_classes
+        tables = self.tables
+        counters = tables.module_kinds.count(KIND_COUNTER)
         return ResourceSummary(
             rules_compiled=len(self._rule_meta),
             rules_skipped=len(self._skipped),
-            stes=self.network.ste_count(),
-            counters=self.network.counter_count(),
-            bit_vectors=self.network.bit_vector_count(),
+            stes=tables.n_stes,
+            counters=counters,
+            bit_vectors=tables.n_modules - counters,
             cam_arrays=bank.cam_arrays_used,
             pes=bank.pes_used,
             area_mm2=self._area.total_mm2,
@@ -445,7 +450,7 @@ class RulesetMatcher(LocalMatcher):
             opt_level=self._opt_level,
             merged_stes=optimization.merged_stes if optimization else 0,
             removed_nodes=optimization.removed_nodes if optimization else 0,
-            alphabet_classes=alphabet_classes,
+            alphabet_classes=tables.n_classes,
         )
 
     def empty_match_rules(self) -> set[str]:
@@ -492,9 +497,8 @@ class RulesetMatcher(LocalMatcher):
         )
 
     def _scanner(self, engine: Optional[str] = None):
-        """A fresh scanner from the resolved backend."""
-        tables = self.tables
-        return resolve_backend(engine or self.engine, tables).make_scanner(tables)
+        """A fresh scanner of the resolved engine."""
+        return _open_scanner(engine or self.engine, self.tables, lambda: self.network)
 
     @property
     def _shard_matchers(self) -> "list[RulesetMatcher]":
@@ -515,9 +519,8 @@ class PatternMatcher:
       matched somewhere with its anchors satisfied (for a ``^...$``
       pattern this is exact-string matching).
 
-    Runs on the registry-selected backend (``engine="auto"`` default);
-    pass any registered name, e.g. ``engine="reference"`` for the
-    node-by-node simulator.
+    Runs on the ``auto``-selected scanner by default; pass any engine
+    name, e.g. ``engine="reference"`` for the node-by-node simulator.
 
     >>> from repro import PatternMatcher
     >>> pm = PatternMatcher(r"a(bc){1,3}d")
@@ -555,11 +558,7 @@ class PatternMatcher:
         """
         data = coerce_chunk(data)
         if self._scanner is None:
-            if self._tables is None:
-                self._tables = compile_tables(self.compiled.network)
-            self._scanner = resolve_backend(
-                self.engine, self._tables
-            ).make_scanner(self._tables)
+            self._scanner = self._new_scanner()
         ends = self._scanner.match_ends(data)
         if self.compiled.pattern.anchored_end:
             ends = [e for e in ends if e == len(data)]
@@ -581,11 +580,7 @@ class PatternMatcher:
         """
         if isinstance(data, (bytes, bytearray, memoryview, str)):
             data = (data,)
-        if self._tables is None:
-            self._tables = compile_tables(self.compiled.network)
-        scanner = resolve_backend(self.engine, self._tables).make_scanner(
-            self._tables
-        )
+        scanner = self._new_scanner()
         # one event-only session part: the shared session layer owns
         # absolute offsets and $-gating (no finalize -- a single
         # pattern has no ScanResult/energy story)
@@ -598,6 +593,11 @@ class PatternMatcher:
             [SessionPart(scanner=scanner, end_anchored=gate)], stream=stream
         )
         return session.matches(data)
+
+    def _new_scanner(self):
+        if self._tables is None:
+            self._tables = compile_tables(self.compiled.network)
+        return _open_scanner(self.engine, self._tables, lambda: self.compiled.network)
 
     def matches(self, data: Chunk) -> bool:
         """True iff the pattern matches within ``data`` (anchors kept).

@@ -54,7 +54,6 @@ class ContentOption:
     depth: Optional[int] = None
     distance: Optional[int] = None
     within: Optional[int] = None
-    fast_pattern: bool = False
 
 
 @dataclass

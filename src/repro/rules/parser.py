@@ -259,10 +259,10 @@ def _apply_option(
         content = _last_content(rule, key)
         if key == "nocase":
             content.nocase = True
-        elif key == "fast_pattern":
-            content.fast_pattern = True
-        elif key == "rawbytes":
-            pass  # raw-payload selector: our payload view is already raw
+        elif key in ("fast_pattern", "rawbytes"):
+            # a prefilter hint and a raw-payload selector: neither
+            # changes what matches (our payload view is already raw)
+            pass
         else:
             setattr(content, key, _int_value(value, key))
     elif key in BUFFER_OPTIONS:

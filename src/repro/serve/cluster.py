@@ -520,7 +520,14 @@ class RemoteShardedMatcher(SessionScans):
             if isinstance(outcome, BaseException)
         ]
         if failures:
-            raise self._partial_error(op, failures, session)
+            error = self._partial_error(op, failures, session)
+            if session is not None:
+                # the failed session is over: later errors must not name
+                # it, and the long-lived clients must not keep its events
+                self._open_sessions.pop(session._wire, None)
+                for client in self._clients:
+                    client.take_events(session._wire)
+            raise error
         return list(outcomes)
 
     def _partial_error(

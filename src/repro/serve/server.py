@@ -5,7 +5,7 @@ machinery: it accepts TCP connections speaking the
 :mod:`repro.serve.protocol` line protocol, gives every connection its
 own set of tagged :class:`~repro.session.MatchSession`\\ s (all sharing
 the server's one compiled :class:`~repro.session.Matcher` -- sharded
-or not, any registered backend), and streams :class:`Match` events
+or not, any engine), and streams :class:`Match` events
 back as scanning observes them.
 
 Concurrency model (one event loop, CPU work off-loop):

@@ -36,11 +36,11 @@ The layer cake:
   queue with an explicit overflow policy (``block`` / ``drop_oldest``
   / ``raise``) and an observable dropped-count.
 
-Every registered execution backend (``stream``, ``block``,
-``reference``, and third-party registrations) works under a session:
-backends already report incrementally from ``feed``, as ``(end, report
-index)`` columns, and the session layer gates, orders and names them
-(``$`` gating, :data:`UNNAMED_REPORT`) through one
+Every engine (``stream``, ``block`` and the ``reference`` oracle)
+works under a session: scanners already report incrementally from
+``feed``, as ``(end, report index)`` columns, and the session layer
+gates, orders and names them (``$`` gating, :data:`UNNAMED_REPORT`)
+through one
 :class:`ReportLayout` per matcher, building each :class:`Match` once.
 The batch entry points (``scan``, ``scan_stream``, ``scan_many``,
 ``matched_rules``) are thin wrappers over sessions, so both surfaces
@@ -639,7 +639,7 @@ class MultiStreamScanner:
         results = mux.results()             # {tag: ScanResult}
 
     Works over any :class:`Matcher` (sharded included) and any
-    registered backend.  ``on_match`` observes every stream's matches
+    engine.  ``on_match`` observes every stream's matches
     through one sink (each match is tagged); per-stream sinks can be
     attached by creating the session first via :meth:`session`.
 

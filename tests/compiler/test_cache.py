@@ -109,35 +109,62 @@ class TestRoundTrip:
         assert (
             warm.scan(DATA).energy_nj_per_byte == cold.scan(DATA).energy_nj_per_byte
         )
-        # the reference engine still works from the cached network
+        # the reference oracle works from the rules, recompiled
         assert warm.scan(DATA, engine="reference") == cold.scan(DATA)
 
-    def test_tables_ship_in_the_artifact(self, tmp_path):
+    def test_tables_ship_in_the_artifact_without_a_network(self, tmp_path):
+        from repro.compiler.cache import artifact_path
+
         cache_dir = str(tmp_path)
-        RulesetMatcher(RULES, cache_dir=cache_dir)
+        cold = RulesetMatcher(RULES, cache_dir=cache_dir)
         warm = RulesetMatcher(RULES, cache_dir=cache_dir)
         # tables came off disk -- no lazy compile left to do
         assert warm._tables is not None
         assert warm.tables.n_classes >= 1
-        # the source network travels with them (reference backend)
-        assert warm.tables.network is not None
+        # the network is the compiler's intermediate form: neither the
+        # tables nor the artifact carry it, and no mnrl class is loaded
+        assert not hasattr(warm.tables, "network")
+        assert warm._network is None
+        modules = set()
 
-    def test_artifact_records_validated_backends(self, tmp_path):
-        from repro.compiler.cache import artifact_path
-        from repro.engine.backends import validated_backend_names
+        class Recording(pickle.Unpickler):
+            def find_class(self, module, name):
+                modules.add(module)
+                return super().find_class(module, name)
+
+        with open(cold.compile_info.cache_path, "rb") as handle:
+            artifact = Recording(handle).load()
+        assert "repro.engine.tables" in modules
+        assert not any(module.startswith("repro.mnrl") for module in modules)
+        assert not hasattr(artifact, "network") and not hasattr(artifact, "backends")
+        assert artifact_path(cache_dir, artifact.key) == cold.compile_info.cache_path
+
+    @pytest.mark.parametrize("opt_level", [0, 1])
+    def test_warm_reference_equals_cold_reference(self, tmp_path, opt_level, monkeypatch):
+        """The first ``reference`` scan on a warm matcher compiles the
+        rules once, and the oracle it builds reports and counts exactly
+        what the cold matcher's does."""
+        import repro.matching as matching
 
         cache_dir = str(tmp_path)
-        cold = RulesetMatcher(RULES, cache_dir=cache_dir)
-        key = os.path.basename(cold.compile_info.cache_path)
-        artifact = pickle.load(
-            open(os.path.join(cache_dir, key), "rb")
-        )
-        assert artifact.backends == validated_backend_names(cold.tables)
-        assert "stream" in artifact.backends
-        warm = RulesetMatcher(RULES, cache_dir=cache_dir)
+        cold = RulesetMatcher(RULES, opt_level=opt_level, cache_dir=cache_dir)
+        warm = RulesetMatcher(RULES, opt_level=opt_level, cache_dir=cache_dir)
         assert warm.compile_info.cache_hit
-        assert warm.validated_backends == artifact.backends
-        assert artifact_path(cache_dir, artifact.key) == cold.compile_info.cache_path
+        compiles = []
+        real = matching.compile_ruleset
+        monkeypatch.setattr(
+            matching, "compile_ruleset",
+            lambda *args, **kwargs: compiles.append(1) or real(*args, **kwargs),
+        )
+        runs = {}
+        for name, matcher in (("cold", cold), ("warm", warm), ("again", warm)):
+            session = matcher.session(engine="reference")
+            matches = session.feed(DATA) + session.finish()
+            runs[name] = (matches, session.scanners[0].stats)
+        assert len(compiles) == 1  # the warm matcher's first oracle only
+        assert runs["warm"][0] == runs["cold"][0] == runs["again"][0]
+        assert runs["warm"][1] == runs["cold"][1] == runs["again"][1]
+        assert runs["warm"][0]  # the oracle found something to agree on
 
     def test_sharded_matchers_cache_per_shard(self, tmp_path):
         cache_dir = str(tmp_path)
@@ -245,6 +272,10 @@ class TestInvalidation:
         for module, name in cache_mod._ALLOWED_GLOBALS:
             assert module.startswith("repro.")
             assert isinstance(getattr(importlib.import_module(module), name), type)
+        # entries hold tables, not the emitted network's node graph
+        assert not any(
+            module.startswith("repro.mnrl") for module, _ in cache_mod._ALLOWED_GLOBALS
+        )
 
     def test_version_skew_is_a_miss(self, tmp_path, monkeypatch):
         cache_dir = str(tmp_path)
@@ -292,12 +323,15 @@ class TestWarmStartIsALoad:
         cache_dir = str(tmp_path)
         cold = dict(_warm_starts(cache_dir))
         assert not any(m.compile_info.cache_hit for m in cold.values())
+        resources = {name: m.resources() for name, m in cold.items()}
         want = _feed_all(cache_dir)
         before = _listing(cache_dir)
         forbid_rederivation(monkeypatch.setattr)
         with pytest.raises(AssertionError, match="re-derived"):
             RulesetMatcher(RULES)  # the guard is live
         assert _feed_all(cache_dir) == want
+        for name, warm in _warm_starts(cache_dir):
+            assert warm.resources() == resources[name], name  # from the tables
         assert all(phases == ["load"] for _, phases in want.values())
         assert _listing(cache_dir) == before  # a warm start wrote nothing
 

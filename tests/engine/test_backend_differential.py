@@ -1,18 +1,18 @@
-"""Differential fuzz: every registered backend, one semantics.
+"""Differential fuzz: every engine, one semantics.
 
 Hypothesis drives random rule subsets x random data x random
-chunkings through **all registered, available backends** and asserts
-identical distinct report sets everywhere, plus
-``ActivityStats.equivalent`` wherever the backend declares
-``stats_exact`` (all built-ins do).  The reference backend runs inside
-the same loop, so any divergence names the offending backend directly.
+chunkings through **every available engine** and asserts identical
+distinct report sets and ``ActivityStats.equivalent`` everywhere.  The
+reference oracle runs inside the same loop, so any divergence names
+the offending scanner directly.
 """
 
 from hypothesis import given, settings, strategies as st
 
 from repro.compiler.pipeline import compile_ruleset
-from repro.engine.backends import available_backends, get_backend
+from repro.engine.backends import available_engines
 from repro.engine.tables import compile_tables
+from tests.helpers import scanner_for
 
 #: shapes chosen to exercise every execution path: literal chains,
 #: alternation, anchors, nullables, self-loops, true cycles (scalar
@@ -30,16 +30,22 @@ RULE_POOL = [
     ("exact", r"^[abc]{4}$"),
 ]
 
-_TABLES_CACHE: dict = {}
+_COMPILED: dict = {}
 
 
-def _tables_for(indices: frozenset):
-    tables = _TABLES_CACHE.get(indices)
-    if tables is None:
+def _compiled(network):
+    """``(network, tables)``: the oracle runs the first, the scanners
+    the second."""
+    return network, compile_tables(network)
+
+
+def _compiled_for(indices: frozenset):
+    compiled = _COMPILED.get(indices)
+    if compiled is None:
         rules = [RULE_POOL[i] for i in sorted(indices)]
-        tables = compile_tables(compile_ruleset(rules).network)
-        _TABLES_CACHE[indices] = tables
-    return tables
+        compiled = _compiled(compile_ruleset(rules).network)
+        _COMPILED[indices] = compiled
+    return compiled
 
 
 def _chunkings(data: bytes, cuts: list[int]) -> list[bytes]:
@@ -58,25 +64,22 @@ rule_subsets = st.frozensets(
 )
 
 
-def _assert_backends_agree(tables, chunks, context):
-    """Feed ``chunks`` through every available backend; reports must be
-    identical everywhere and stats equivalent wherever declared exact."""
+def _assert_backends_agree(compiled, chunks, context):
+    """Feed ``chunks`` through every available engine; reports must be
+    identical and stats equivalent everywhere."""
     outcomes = {}
-    for info in available_backends():
-        if not info.available:
-            continue
-        scanner = get_backend(info.name).make_scanner(tables)
+    for name in available_engines():
+        scanner = scanner_for(name, *compiled)
         for chunk in chunks:
             scanner.feed(chunk)
         scanner.finish()
-        outcomes[info.name] = (info, scanner.reports, scanner.stats)
+        outcomes[name] = (scanner.reports, scanner.stats)
 
     assert "stream" in outcomes and "reference" in outcomes
-    _, want_reports, want_stats = outcomes["reference"]
-    for name, (info, reports, stats) in outcomes.items():
+    want_reports, want_stats = outcomes["reference"]
+    for name, (reports, stats) in outcomes.items():
         assert reports == want_reports, (name,) + context
-        if info.stats_exact:
-            assert stats.equivalent(want_stats), (name,) + context
+        assert stats.equivalent(want_stats), (name,) + context
 
 
 @given(
@@ -86,9 +89,8 @@ def _assert_backends_agree(tables, chunks, context):
 )
 @settings(max_examples=60, deadline=None)
 def test_all_backends_report_identically(indices, data, cuts):
-    tables = _tables_for(indices)
     chunks = _chunkings(data, cuts)
-    _assert_backends_agree(tables, chunks, (sorted(indices), data, cuts))
+    _assert_backends_agree(_compiled_for(indices), chunks, (sorted(indices), data, cuts))
 
 
 # -- module-heavy generator -------------------------------------------------
@@ -130,15 +132,15 @@ module_rule_lists = st.integers(min_value=1, max_value=3).flatmap(
     lambda k: st.tuples(*[_module_rule(tag=f"m{i}") for i in range(k)])
 )
 
-_MODULE_TABLES_CACHE: dict = {}
+_MODULE_COMPILED: dict = {}
 
 
-def _module_tables_for(rules: tuple):
-    tables = _MODULE_TABLES_CACHE.get(rules)
-    if tables is None:
-        tables = compile_tables(compile_ruleset(list(rules)).network)
-        _MODULE_TABLES_CACHE[rules] = tables
-    return tables
+def _module_compiled_for(rules: tuple):
+    compiled = _MODULE_COMPILED.get(rules)
+    if compiled is None:
+        compiled = _compiled(compile_ruleset(list(rules)).network)
+        _MODULE_COMPILED[rules] = compiled
+    return compiled
 
 
 @given(
@@ -148,26 +150,23 @@ def _module_tables_for(rules: tuple):
 )
 @settings(max_examples=80, deadline=None)
 def test_all_backends_agree_on_module_heavy_rules(rules, data, cuts):
-    tables = _module_tables_for(rules)
-    assert tables.n_modules > 0, rules
+    compiled = _module_compiled_for(rules)
+    assert compiled[1].n_modules > 0, rules
     chunks = _chunkings(data, cuts)
-    _assert_backends_agree(tables, chunks, (rules, data, cuts))
+    _assert_backends_agree(compiled, chunks, (rules, data, cuts))
 
 
 @given(data=small_data)
 @settings(max_examples=30, deadline=None)
 def test_byte_at_a_time_matches_one_shot_on_every_backend(data):
-    tables = _tables_for(frozenset([0, 4, 6, 9]))
-    for info in available_backends():
-        if not info.available:
-            continue
-        backend = get_backend(info.name)
-        drip = backend.make_scanner(tables)
+    compiled = _compiled_for(frozenset([0, 4, 6, 9]))
+    for name in available_engines():
+        drip = scanner_for(name, *compiled)
         for b in data:
             drip.feed(bytes([b]))
-        one = backend.make_scanner(tables)
+        one = scanner_for(name, *compiled)
         one.feed(data)
         drip.finish()
         one.finish()
-        assert drip.reports == one.reports, info.name
-        assert drip.stats.equivalent(one.stats), info.name
+        assert drip.reports == one.reports, name
+        assert drip.stats.equivalent(one.stats), name

@@ -1,10 +1,10 @@
-"""The pluggable execution-backend subsystem.
+"""Engine names and the ``"block"`` scanner's contract.
 
-Covers the registry (names, auto selection, the single
-unknown-engine error, graceful degradation without NumPy) and the
-``"block"`` backend's equivalence contract: identical distinct reports
-*and* ActivityStats against the reference simulator on every pattern
-shape, chunking, and all five synthetic suites.
+Covers name resolution (``auto`` selection, the single unknown-engine
+error, graceful degradation without NumPy), the ``"reference"`` oracle
+adapter, and the ``"block"`` scanner's equivalence contract: identical
+distinct reports *and* ActivityStats against the reference simulator
+on every pattern shape, chunking, and all five synthetic suites.
 """
 
 import os
@@ -20,17 +20,12 @@ import pytest
 import repro.engine.block as block_engine
 from repro.compiler.pipeline import compile_pattern, compile_ruleset
 from repro.engine.backends import (
-    Backend,
     BackendUnavailable,
-    available_backends,
-    backend_names,
+    ReferenceScanner,
+    available_engines,
     engine_choices,
-    get_backend,
-    register_backend,
     resolve_backend,
-    validated_backend_names,
 )
-from repro.engine.backends.registry import _BACKENDS
 from repro.engine.block import BlockScanner
 from repro.engine.scanner import StreamScanner
 from repro.engine.tables import compile_tables
@@ -59,60 +54,30 @@ def _tables(pattern):
     return compile_tables(compile_pattern(pattern, report_id="p").network)
 
 
-class TestRegistry:
-    def test_builtins_registered(self):
-        names = backend_names()
-        assert names[:3] == ["stream", "block", "reference"]
-
-    def test_aliases_resolve(self):
-        # the registry has no alias layer: only registered names resolve
-        # (the historical "table" spelling is gone)
-        with pytest.raises(ValueError, match="available engines"):
-            get_backend("table")
-
-    def test_engine_choices_cover_auto_names_aliases(self):
-        choices = engine_choices()
-        assert choices[0] == "auto"
-        for name in ("stream", "block", "reference"):
-            assert name in choices
+class TestResolve:
+    def test_engine_names(self):
+        assert engine_choices() == ["auto", "stream", "block", "reference"]
+        assert {"stream", "reference"} <= set(available_engines())
+        assert set(available_engines()) <= set(engine_choices()[1:])
 
     def test_unknown_name_error_lists_engines(self):
         with pytest.raises(ValueError, match="available engines: auto, stream"):
-            get_backend("quantum")
-        with pytest.raises(ValueError, match="available engines"):
             resolve_backend("quantum")
+        # no alias layer: the historical "table" spelling is gone
+        with pytest.raises(ValueError, match="available engines"):
+            resolve_backend("table")
 
-    def test_auto_is_not_a_backend(self):
-        with pytest.raises(ValueError, match="unknown engine 'auto'"):
-            get_backend("auto")
+    def test_auto_without_tables_picks_stream(self):
+        # with nothing to analyse, auto takes the scanner that always runs
+        engine = resolve_backend("auto")
+        assert engine.name == "stream"
+        assert engine.make_scanner is StreamScanner
 
-    def test_register_conflict_rejected(self):
-        class Dup(Backend):
-            name = "stream"
-
-            def make_scanner(self, tables):  # pragma: no cover
-                raise NotImplementedError
-
-        with pytest.raises(ValueError, match="already registered"):
-            register_backend(Dup())
-
-    def test_register_and_replace_custom_backend(self):
-        class Custom(Backend):
-            name = "custom-test"
-            description = "test double"
-
-            def make_scanner(self, tables):
-                return StreamScanner(tables)
-
-        try:
-            register_backend(Custom())
-            assert "custom-test" in engine_choices()
-            register_backend(Custom(), replace=True)  # idempotent override
-            tables = _tables("ab")
-            scanner = resolve_backend("custom-test", tables).make_scanner(tables)
-            assert scanner.scan(b"xab") == {(3, "p")}
-        finally:
-            _BACKENDS.pop("custom-test", None)
+    def test_resolves_to_a_name_and_a_scanner_factory(self):
+        tables = _tables("ab")
+        engine = resolve_backend("stream", tables)
+        assert engine.name == "stream"
+        assert engine.make_scanner(tables).scan(b"xab") == {(3, "p")}
 
     @needs_numpy
     def test_auto_picks_block_for_module_free(self):
@@ -143,13 +108,6 @@ class TestRegistry:
         for rules in (MODULE_FREE_RULES, [("ctr", r"[^a]a{3,9}")]):
             assert resolve_backend("auto", RulesetMatcher(rules).tables).name != "reference"
 
-    def test_validated_backend_names(self):
-        tables = _tables("abc")
-        names = validated_backend_names(tables)
-        assert "stream" in names and "reference" in names
-        tables.network = None
-        assert "reference" not in validated_backend_names(tables)
-
 
 class TestNumpyDegradation:
     """The block backend must degrade, not explode, without NumPy."""
@@ -159,10 +117,9 @@ class TestNumpyDegradation:
         monkeypatch.setattr(block_engine, "_np", None)
         monkeypatch.setattr(block_engine, "_NUMPY_ERROR", "simulated import failure")
 
-    def test_reported_unavailable_with_reason(self, no_numpy):
-        info = {i.name: i for i in available_backends()}["block"]
-        assert not info.available
-        assert "simulated import failure" in info.unavailable_reason
+    def test_reported_unavailable(self, no_numpy):
+        assert available_engines() == ["stream", "reference"]
+        assert "block" in engine_choices()  # a name still, just not here
 
     def test_explicit_block_raises_value_error(self, no_numpy):
         tables = _tables("abc")
@@ -190,7 +147,7 @@ class TestNumpyDegradation:
     def test_matcher_scan_still_works(self, no_numpy):
         matcher = RulesetMatcher(MODULE_FREE_RULES)  # engine="auto"
         assert matcher.scan(b"zabcz").matches == {"lit": [4]}
-        assert "block" not in matcher.validated_backends
+        assert type(matcher.session().scanners[0]) is StreamScanner
 
     def test_matcher_ctor_fails_fast_on_unavailable_engine(self, no_numpy):
         """engine='block' without numpy must raise before the compile,
@@ -213,10 +170,11 @@ class TestNumpyDegradation:
         assert "error:" in err and "unavailable" in err
 
 
-class TestReferenceBackend:
+class TestReferenceOracle:
     def test_streams_chunk_by_chunk(self):
-        tables = _tables(r"ab{2,4}c")
-        scanner = resolve_backend("reference", tables).make_scanner(tables)
+        network = compile_pattern(r"ab{2,4}c", report_id="p").network
+        tables = compile_tables(network)
+        scanner = ReferenceScanner(tables, network)
         new = []
         for chunk in (b"xab", b"bc", b"abbbbc"):
             new.extend(scanner.feed(chunk))
@@ -225,20 +183,38 @@ class TestReferenceBackend:
         assert set(new) == scanner.reports
         assert scanner.bytes_fed == 11
 
-    def test_requires_source_network(self):
+    def test_bare_tables_are_refused(self):
+        # the oracle interprets the rules' network, which tables do not
+        # carry: only a matcher (which holds its rules) can build it
         tables = _tables("ab")
-        tables.network = None
-        assert not get_backend("reference").applicable(tables)
-        with pytest.raises(BackendUnavailable, match="cannot execute"):
-            resolve_backend("reference", tables)
+        engine = resolve_backend("reference", tables)
+        assert engine.name == "reference"
+        with pytest.raises(BackendUnavailable, match="network"):
+            engine.make_scanner(tables)
 
     def test_feed_after_finish_raises(self):
-        tables = _tables("ab")
-        scanner = resolve_backend("reference", tables).make_scanner(tables)
+        network = compile_pattern("ab", report_id="p").network
+        scanner = ReferenceScanner(compile_tables(network), network)
         scanner.feed(b"ab")
         scanner.finish()
         with pytest.raises(RuntimeError):
             scanner.feed(b"x")
+
+    def test_reset_rescans_from_the_start(self):
+        network = compile_pattern(r"a[bc]{2}d", report_id="p").network
+        tables = compile_tables(network)
+        scanner = ReferenceScanner(tables, network)
+        data = b"xabcd acbd abd"
+        first = scanner.scan(data)
+        stats = scanner.stats
+        scanner.reset()
+        assert scanner.bytes_fed == 0 and not scanner.reports
+        for chunk in (data[:5], data[5:]):
+            scanner.feed(chunk)
+        scanner.finish()
+        assert scanner.reports == first == StreamScanner(tables).scan(data)
+        assert scanner.stats == stats
+        assert scanner.match_ends(data) == StreamScanner(tables).match_ends(data) == [5, 10]
 
 
 #: pattern shapes covering every vectorization path: plain chains,
@@ -409,7 +385,7 @@ class TestBlockScannerEquivalence:
         assert resolve_backend("auto", tables).name == "block"
         chunks = [data[at : at + (1 << 14)] for at in range(0, len(data), 1 << 14)]
         scanners = {
-            name: get_backend(name).make_scanner(tables)
+            name: resolve_backend(name, tables).make_scanner(tables)
             for name in ("stream", "block")
         }
         best = dict.fromkeys(scanners, float("inf"))
@@ -480,8 +456,20 @@ class TestFacadeEngineSelection:
     def test_scan_stream_honors_reference_engine(self):
         matcher = RulesetMatcher([("lit", r"abc")], engine="reference")
         assert matcher.scan_stream([b"ab", b"c"]).matches == {"lit": [3]}
-        # the session wraps a scanner from the matcher's default backend
-        assert type(matcher.session().scanners[0]).__name__ == "ReferenceScanner"
+        # the session wraps a scanner from the matcher's default engine
+        assert type(matcher.session().scanners[0]) is ReferenceScanner
+
+    def test_reference_default_engine_on_a_warm_cache(self, tmp_path):
+        # the artifact holds no network: a warm matcher whose default
+        # engine is the oracle rebuilds it from its rules on first use
+        rules = [("lit", r"abc"), ("ctr", r"[^a]a{3,5}")]
+        data = b"zabc xaaaa"
+        cold = RulesetMatcher(rules, engine="reference", cache_dir=str(tmp_path))
+        warm = RulesetMatcher(rules, engine="reference", cache_dir=str(tmp_path))
+        assert warm.compile_info.cache_hit
+        assert type(warm.session().scanners[0]) is ReferenceScanner
+        assert warm.scan(data) == cold.scan(data) == RulesetMatcher(rules).scan(data)
+        assert warm.scan_stream([data[:3], data[3:]]) == cold.scan(data)
 
     def test_scan_many_ships_engine_choice(self):
         matcher = RulesetMatcher(MODULE_FREE_RULES)
@@ -493,11 +481,3 @@ class TestFacadeEngineSelection:
             assert matcher.scan_many(streams, engine=engine) == [
                 matcher.scan(s) for s in streams
             ]
-
-    def test_validated_backends_recorded_in_cache(self, tmp_path):
-        rules = [("lit", r"abc")]
-        cold = RulesetMatcher(rules, cache_dir=str(tmp_path))
-        warm = RulesetMatcher(rules, cache_dir=str(tmp_path))
-        assert warm.compile_info.cache_hit
-        assert warm.validated_backends == cold.validated_backends
-        assert "stream" in warm.validated_backends

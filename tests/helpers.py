@@ -130,7 +130,7 @@ def forbid_report_views(setattr_=setattr) -> None:
     session's ``feed``/``finish`` path must work from the columns
     ``feed`` returns, decoding nothing.  Pass ``monkeypatch.setattr`` to
     have it undone after the test."""
-    from repro.engine.backends.reference import ReferenceScanner
+    from repro.engine.backends import ReferenceScanner
     from repro.engine.block import BlockScanner
     from repro.engine.scanner import StreamScanner
 
@@ -139,3 +139,17 @@ def forbid_report_views(setattr_=setattr) -> None:
 
     for scanner_class in (StreamScanner, BlockScanner, ReferenceScanner):
         setattr_(scanner_class, "reports", property(decoded))
+
+
+def scanner_for(engine: str, network, tables=None):
+    """A fresh ``engine`` scanner over ``network``'s tables (pass
+    ``tables`` to share them): ``stream`` and ``block`` run the tables,
+    the ``reference`` oracle interprets the network itself."""
+    from repro.engine.backends import REFERENCE_ENGINE, ReferenceScanner, resolve_backend
+    from repro.engine.tables import compile_tables
+
+    if tables is None:
+        tables = compile_tables(network)
+    if engine == REFERENCE_ENGINE:
+        return ReferenceScanner(tables, network)
+    return resolve_backend(engine, tables).make_scanner(tables)

@@ -1,10 +1,10 @@
 """Satellite: synthetic-suite rules and parsed Snort rules mix in one
-ruleset and scan identically on every registered backend.
+ruleset and scan identically on every engine.
 
 Follows the differential pattern from
 ``tests/engine/test_backend_differential.py``: compile once, feed the
-same data through all available backends, require identical reports
-(and equivalent stats wherever the backend declares ``stats_exact``).
+same data through every available engine, require identical reports
+and equivalent stats.
 """
 
 import os
@@ -12,11 +12,12 @@ import os
 import pytest
 
 from repro.compiler.pipeline import compile_ruleset
-from repro.engine.backends import available_backends, get_backend
+from repro.engine.backends import available_engines
 from repro.engine.tables import compile_tables
 from repro.matching import RulesetMatcher
 from repro.rules import load_rules
 from repro.workloads.synth import snort_like
+from tests.helpers import scanner_for
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "local.rules")
 
@@ -43,15 +44,14 @@ PAYLOADS = [
 ]
 
 
-def _scan_all_backends(tables, data):
+def _scan_all_backends(network, data):
+    tables = compile_tables(network)
     outcomes = {}
-    for info in available_backends():
-        if not info.available:
-            continue
-        scanner = get_backend(info.name).make_scanner(tables)
+    for name in available_engines():
+        scanner = scanner_for(name, network, tables)
         scanner.feed(data)
         scanner.finish()
-        outcomes[info.name] = (info, scanner.reports, scanner.stats)
+        outcomes[name] = (scanner.reports, scanner.stats)
     return outcomes
 
 
@@ -77,14 +77,12 @@ def test_backends_agree_on_mixed_ruleset(data):
         if entry[0] not in {"sid:1000010", "sid:1000011", "sid:1000012",
                             "sid:1000013", "sid:1000014"}
     ]
-    tables = compile_tables(compile_ruleset(rules).network)
-    outcomes = _scan_all_backends(tables, data)
+    outcomes = _scan_all_backends(compile_ruleset(rules).network, data)
     assert "reference" in outcomes and len(outcomes) >= 2
-    _, want_reports, want_stats = outcomes["reference"]
-    for name, (info, reports, stats) in outcomes.items():
+    want_reports, want_stats = outcomes["reference"]
+    for name, (reports, stats) in outcomes.items():
         assert reports == want_reports, (name, data)
-        if info.stats_exact:
-            assert stats.equivalent(want_stats), (name, data)
+        assert stats.equivalent(want_stats), (name, data)
 
 
 def test_matcher_scan_matches_suite_and_snort_rules_together():

@@ -9,6 +9,7 @@ from repro.rules.parser import (
     parse_rule,
     split_options,
 )
+from repro.rules.translate import translate_rule
 
 RULE = (
     'alert tcp $EXTERNAL_NET any -> $HOME_NET 80 '
@@ -64,6 +65,10 @@ class TestOptions:
         assert isinstance(content, ContentOption)
         assert content.data == b"GET /admin"
         assert content.nocase and content.offset == 4 and content.depth == 20
+
+    def test_fast_pattern_is_accepted_and_changes_nothing(self):
+        fast = parse_rule(RULE.replace("depth:20;", "depth:20; fast_pattern;"))
+        assert translate_rule(fast).pattern == translate_rule(parse_rule(RULE)).pattern
 
     def test_pcre_split_into_body_and_flags(self):
         rule = parse_rule(RULE)

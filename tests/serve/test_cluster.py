@@ -5,7 +5,7 @@ The load-bearing property: a :class:`RemoteShardedMatcher` over a
 :class:`~tests.serve.chaoss.FaultProxy` interposers -- emits exactly
 what an offline :class:`MultiStreamScanner` over the full unsharded
 ruleset emits, per feed, across 64 interleaved streams, on every
-registered backend.
+engine.
 
 The failure half: a shard that dies mid-flight (deterministic
 byte-offset RST via FaultProxy, or a SIGKILLed shard process) must
@@ -34,7 +34,7 @@ from repro import (
     RemoteShardedMatcher,
     RulesetMatcher,
     ShardedMatcher,
-    available_backends,
+    available_engines,
 )
 from repro.compiler.pipeline import dedupe_rules
 from repro.engine.parallel import mp_context, shard_rules
@@ -44,7 +44,7 @@ from tests.helpers import planted_snort40
 from tests.serve.chaoss import Fault, FaultProxy
 from tests.serve.test_server import RULES, offline_events, traffic_for
 
-ENGINES = [info.name for info in available_backends() if info.available]
+ENGINES = available_engines()
 
 #: every started LocalShardCluster forks its shard processes
 needs_processes = pytest.mark.skipif(
@@ -263,6 +263,25 @@ class TestShardFailure:
         assert "victim" in err.streams
         delivered = [(m.rule, m.end) for m in err.delivered["victim"]]
         assert delivered[0] == ("hit", 4)
+
+    def test_failed_session_leaves_nothing_behind(self):
+        """A session that fails mid-flight is over: it leaves the open
+        set and its events leave the surviving shard clients, so the
+        next failure names only the streams open at that time."""
+        with LocalShardCluster(RULES, shards=3) as cluster:
+            with RemoteShardedMatcher(cluster.addresses) as remote:
+                session = remote.session(stream="victim")
+                session.feed(b"zabc")
+                os.kill(cluster._workers[2].pid, signal.SIGKILL)
+                with pytest.raises(ClusterPartialResultError):
+                    for _ in range(50):  # the RST may take a beat to land
+                        session.feed(b"12345")
+                assert remote._open_sessions == {}
+                for client in remote._clients:
+                    assert session._wire not in client._events
+                with pytest.raises(ClusterPartialResultError) as excinfo:
+                    remote.session(stream="next")  # shard 2 is still gone
+        assert excinfo.value.streams == ("next",)
 
     def test_restart_and_reattach_recovers(self):
         """The cluster respawns a SIGKILLed shard on its own port, so

@@ -20,7 +20,7 @@ import time
 
 import pytest
 
-from repro.engine.backends import available_backends
+from repro.engine.backends import available_engines
 from repro.engine.parallel import mp_context
 from repro.matching import RulesetMatcher
 from repro.serve import (
@@ -41,7 +41,7 @@ pytestmark = pytest.mark.skipif(
     mp_context() is None, reason="multiprocessing unavailable"
 )
 
-ENGINES = [info.name for info in available_backends() if info.available]
+ENGINES = available_engines()
 
 OLD_RULES = [("keep", r"abc"), ("gone", r"old[0-9]"), ("num", r"[0-9]{3}")]
 NEW_RULES = [("keep", r"abc"), ("fresh", r"new!"), ("num", r"[0-9]{3}")]
@@ -294,7 +294,7 @@ class TestFleetServing:
 class TestFleetReloadUnderLoad:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_64_connections_reload_mid_stream(self, engine):
-        """The ISSUE 7 acceptance e2e, per registered backend: 64
+        """The ISSUE 7 acceptance e2e, per engine: 64
         connections through a 2-worker fleet, SIGHUP-equivalent reload
         mid-stream to a ruleset with one added + one removed rule.
         Asserts (a) no connection drops, (b) every match carries the

@@ -15,7 +15,7 @@ import asyncio
 
 import pytest
 
-from repro.engine.backends import available_backends
+from repro.engine.backends import available_engines
 from repro.engine.parallel import FeedPool, ShardedMatcher
 from repro.matching import RulesetMatcher
 from repro.serve import MatchClient, MatchServer, ServerError
@@ -97,10 +97,7 @@ class TestServedEqualsOffline:
         assert summaries["a"].bytes_scanned == 7
         assert summaries["a"].matches_emitted == len(served["a"])
 
-    @pytest.mark.parametrize(
-        "engine",
-        [info.name for info in available_backends() if info.available],
-    )
+    @pytest.mark.parametrize("engine", available_engines())
     def test_every_backend_serves_identically(self, engine):
         matcher = RulesetMatcher(RULES)
         pairs = [("s", chunk) for chunk in CHUNKS]

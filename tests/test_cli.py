@@ -134,24 +134,21 @@ class TestScan:
         assert main(args + ["--engine", "reference"]) == 0
         assert "hit: 1 match(es) at [5]" in capsys.readouterr().out
 
-    def test_scan_engine_choices_from_registry(self, tmp_path, capsys):
-        """--engine accepts every registered backend name/alias plus
-        auto, and all of them agree on the matches."""
-        from repro.engine.backends import available_backends, engine_choices
+    def test_scan_engine_choices(self, tmp_path, capsys):
+        """--engine accepts every available engine name plus auto, and
+        all of them agree on the matches."""
+        from repro.engine.backends import available_engines
 
         rules = tmp_path / "rules.txt"
         rules.write_text("hit\tabc\n")
         data = tmp_path / "data.bin"
         data.write_bytes(b"xxabcxx")
         args = ["scan", "--rules", str(rules), "--input", str(data)]
-        usable = {i.name for i in available_backends() if i.available}
-        for engine in engine_choices():
-            if engine not in usable | {"auto"}:
-                continue  # e.g. block without numpy
+        for engine in ["auto", *available_engines()]:
             assert main(args + ["--engine", engine]) == 0, engine
             assert "hit: 1 match(es) at [5]" in capsys.readouterr().out
 
-    def test_scan_verbose_reports_backend_availability(self, tmp_path, capsys):
+    def test_scan_verbose_reports_available_engines(self, tmp_path, capsys):
         rules = tmp_path / "rules.txt"
         rules.write_text("hit\tabc\n")
         data = tmp_path / "data.bin"
@@ -159,8 +156,7 @@ class TestScan:
         args = ["scan", "--rules", str(rules), "--input", str(data), "-v"]
         assert main(args) == 0
         err = capsys.readouterr().err
-        assert "backend stream: available" in err
-        assert "backend block:" in err
+        assert "engines available: stream" in err
 
     @pytest.mark.parametrize("count", ["0", "-2"])
     def test_shards_below_one_is_a_usage_error(self, tmp_path, capsys, count):

@@ -49,7 +49,7 @@ EXAMPLED = [
     "build_nca",
     "NetworkSimulator",
     "simulate",
-    "available_backends",
+    "available_engines",
     "resolve_backend",
     "parse_rule",
     "translate_rule",
@@ -67,7 +67,7 @@ DOCTESTED_MODULES = [
     "repro.engine.parallel",
     "repro.engine.scanner",
     "repro.engine.tables",
-    "repro.engine.backends.registry",
+    "repro.engine.backends",
     "repro.compiler.pipeline",
     "repro.rules.content",
     "repro.rules.parser",

@@ -3,13 +3,13 @@
 Acceptance: >= 64 interleaved tagged streams served over one compiled
 ruleset with per-stream match isolation, plus the hypothesis property
 that any interleaving of N tagged streams produces exactly the matches
-of scanning each stream alone -- on every registered backend.
+of scanning each stream alone -- on every engine.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.engine.backends import available_backends
+from repro.engine.backends import available_engines
 from repro.engine.parallel import ShardedMatcher
 from repro.matching import RulesetMatcher
 from repro.session import CollectorSink, Match, MultiStreamScanner, match_dict
@@ -20,10 +20,6 @@ RULES = [
     ("tail", r"xyz$"),
     ("ctr", r"[^a]a{2,4}b"),
 ]
-
-
-def usable_engines() -> list[str]:
-    return [info.name for info in available_backends() if info.available]
 
 
 class TestMultiStreamScanner:
@@ -125,9 +121,9 @@ class TestInterleavingProperty:
     )
     def test_interleaved_equals_isolated(self, payloads, chunk_sizes, data):
         """Property: N tagged streams scanned interleaved produce
-        identical Match sets to scanning each stream alone, across all
-        registered backends."""
-        for engine in usable_engines():
+        identical Match sets to scanning each stream alone, on every
+        engine."""
+        for engine in available_engines():
             matcher = _matcher_for(engine)
             # cut each payload into chunks, then interleave by a
             # hypothesis-chosen schedule

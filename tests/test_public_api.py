@@ -48,9 +48,8 @@ EXPECTED_ALL = sorted(
         # engine
         "TransitionTables", "compile_tables", "StreamScanner",
         "BlockScanner", "ShardedMatcher", "merge_scan_results",
-        # execution backends
-        "Backend", "BackendInfo", "available_backends",
-        "register_backend", "resolve_backend",
+        # engine names
+        "available_engines", "resolve_backend",
         # high-level facade
         "RulesetMatcher", "PatternMatcher", "ScanResult", "CompileInfo",
         "merge_compile_infos",

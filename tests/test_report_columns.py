@@ -14,15 +14,14 @@ import tracemalloc
 
 import pytest
 
-from repro.engine.backends import available_backends, get_backend
+from repro.engine.backends import available_engines
 from repro.engine.parallel import ShardedMatcher
 from repro.engine.scanner import ReportColumns
-from repro.engine.tables import compile_tables
 from repro.compiler.pipeline import compile_ruleset
 from repro.matching import RulesetMatcher
-from tests.helpers import forbid_report_views
+from tests.helpers import forbid_report_views, scanner_for
 
-ENGINES = [info.name for info in available_backends() if info.available]
+ENGINES = available_engines()
 needs_block = pytest.mark.skipif("block" not in ENGINES, reason="numpy not installed")
 
 GATED_RULES = [("end", r"abc$"), ("hit", r"ab"), ("tail", r"c$")]
@@ -70,10 +69,10 @@ class TestEndOfDataGating:
 class TestColumns:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_every_backend_returns_one_feed_type(self, engine):
-        tables = compile_tables(
-            compile_ruleset([("a", r"ab+c"), ("b", r"[0-9]{3}"), ("c", r"x.{2,4}y")]).network
+        scanner = scanner_for(
+            engine,
+            compile_ruleset([("a", r"ab+c"), ("b", r"[0-9]{3}"), ("c", r"x.{2,4}y")]).network,
         )
-        scanner = get_backend(engine).make_scanner(tables)
         out = [scanner.feed(chunk) for chunk in (b"zabbbc 1234", b"5 x12y ", b"", b"abc")]
         assert all(type(columns) is ReportColumns for columns in out)
         assert [columns.ends.tolist() for columns in out] == [[6, 10, 11], [12, 17], [], [21]]

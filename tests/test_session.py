@@ -1,7 +1,7 @@
 """Session API: incremental Match emission, sinks, the Matcher protocol.
 
 The redesign's contract: ``MatchSession`` behaves identically over
-``RulesetMatcher`` and ``ShardedMatcher`` and every registered backend
+``RulesetMatcher`` and ``ShardedMatcher`` and every engine
 -- incremental ``Match`` events with absolute offsets, ``feed`` and
 ``finish`` both returning offset-sorted lists -- and the batch entry
 points are exact wrappers over it (differentially tested against the
@@ -12,7 +12,7 @@ import queue
 
 import pytest
 
-from repro.engine.backends import available_backends
+from repro.engine.backends import available_engines
 from repro.engine.parallel import ShardedMatcher
 from repro.matching import RulesetMatcher, UNNAMED_REPORT
 from repro.session import (
@@ -41,10 +41,6 @@ RULES = [
 ]
 
 DATA = b"GET /abc 1234 baaaa ... xyz"
-
-
-def usable_engines() -> list[str]:
-    return [info.name for info in available_backends() if info.available]
 
 
 def chunked(data: bytes, size: int) -> list[bytes]:
@@ -261,11 +257,11 @@ class TestMatcherProtocol:
 
 
 class TestAcrossBackendsAndShards:
-    @pytest.mark.parametrize("engine", usable_engines())
+    @pytest.mark.parametrize("engine", available_engines())
     @pytest.mark.parametrize("shards", [0, 2, 3])
     def test_session_equals_batch_every_backend(self, engine, shards):
         """Acceptance: sessions work identically over RulesetMatcher and
-        ShardedMatcher on every registered backend."""
+        ShardedMatcher on every engine."""
         if shards:
             matcher = ShardedMatcher(RULES, shards=shards)
         else:
@@ -279,7 +275,7 @@ class TestAcrossBackendsAndShards:
         assert match_dict(emitted) == want.matches
         assert session.result() == want
 
-    @pytest.mark.parametrize("engine", usable_engines())
+    @pytest.mark.parametrize("engine", available_engines())
     def test_emission_order_deterministic_across_backends(self, engine):
         """Regression: feed()/finish() emit identical offset-sorted
         Match lists on every backend (the old feed-list vs finish-set
